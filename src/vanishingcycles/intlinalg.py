@@ -34,10 +34,6 @@ def mat_vec(a, v):
     return [sum(c * x for c, x in zip(row, v)) for row in a]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def det_bareiss(mat) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
     a = [list(map(int, row)) for row in mat]

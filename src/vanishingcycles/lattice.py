@@ -88,11 +88,6 @@ class Segment:
         return self.b if p == self.a else self.a
 
 
-def segment_points_toward(seg: Segment, v: Point) -> bool:
-    """True iff v lies on the line spanned by seg."""
-    return _cross(seg.a, seg.b, v) == 0
-
-
 def line_meets_open_segment(p: Point, d: Point, seg: Segment) -> bool:
     """Does the line through p with direction d meet the relative interior
     of seg?  Exact rational test."""
@@ -145,14 +140,6 @@ class Polygon:
 
     def on_boundary(self, p: Point) -> bool:
         return self.contains(p) and not self.contains(p, strict=True)
-
-    def boundary_edge_through(self, p: Point):
-        """The edge (a, b) whose closed segment contains p, or None."""
-        for a, b in self.edges():
-            if _cross(a, b, p) == 0 and min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) \
-                    and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]):
-                return (a, b)
-        return None
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [v[0] for v in self.vertices]
@@ -333,16 +320,6 @@ def kappa_standard_embedding(P: Polygon, kappa: Point) -> UnimodularMap:
     m = UnimodularMap(lin)
     shift = m.apply(kappa)
     return UnimodularMap(lin, (-shift[0], -shift[1]))
-
-
-def kappa_standard(P: Polygon, kappa: Point | None = None):
-    """(standardized polygon, map used, image of kappa).  Default kappa is
-    the lexicographically least adjoint vertex of the canonical form."""
-    if kappa is None:
-        Q, m = canonical_form(P)
-        return Q, m, (0, 0)
-    m = kappa_standard_embedding(P, kappa)
-    return m.apply_polygon(P), m, (0, 0)
 
 
 def canonical_form(P: Polygon):

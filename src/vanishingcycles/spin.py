@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence, Tuple
 
-from .intlinalg import smith_normal_form, solve_mod2
+from .intlinalg import solve_mod2
 from .lattice import Polygon, genus
 from .network import ACurve, BCurve, CurveId, Network
-from .surface import RibbonSurface, complement_regions, curve_class, is_filling
+from .surface import RibbonSurface, complement_regions, curve_class
 
 
 class SpinError(ValueError):
@@ -55,7 +55,9 @@ class SpinStructure:
     """Modulus plus the defining values on a fixed symplectic basis of curves.
 
     ``values[i]`` is the value of the structure on the i-th basis curve in
-    the interleaved order x1, y1, ..., xg, yg used by ``homology_basis``.
+    the interleaved order x1, y1, ..., xg, yg used by ``homology_basis``;
+    those basis classes are integer combinations of the network curves,
+    which generate homology.
     """
 
     r: int
@@ -153,18 +155,18 @@ def canonical_spin(P: Polygon, N: Network, S: RibbonSurface) -> SpinStructure:
     """The unique structure of modulus r(N) that vanishes on every network
     curve.
 
-    Consistency is checked three ways: the modulus must divide 2g-2; every
+    Consistency is checked two ways: the modulus must divide 2g-2, and every
     complement region cut out by the circles alone or by the segment curves
     alone must have Euler characteristic divisible by r (the coherence sum
-    of zeros); and the curve classes must span homology unimodularly, which
-    pins the structure down.  For even r the mod-2 shadow is solved from the
-    requirement that the associated quadratic form take the value 1 on every
-    network class.
+    of zeros).  The curve classes generate homology (``homology_basis``
+    raises otherwise), which pins the structure down.  For even r the mod-2
+    shadow is solved from the requirement that the associated quadratic form
+    take the value 1 on every network class.
     """
     if genus(P) != genus(N.polygon):
         raise InconsistentConstraints("network does not belong to the polygon")
     r = N.r
-    if not is_filling(P, N):
+    if not S.fills():
         raise InconsistentConstraints("network does not fill the surface")
     g = S.genus()
     if (2 * g - 2) % r:
@@ -174,12 +176,6 @@ def canonical_spin(P: Polygon, N: Network, S: RibbonSurface) -> SpinStructure:
     curves = list(N.curve_list())
     classes = [list(curve_class(S, c)) for c in curves]
     n = 2 * g
-
-    D, _, _ = smith_normal_form([row[:] for row in classes])
-    divisors = [D[i][i] for i in range(min(len(classes), n))]
-    if len(classes) < n or any(abs(d) != 1 for d in divisors[:n]):
-        raise InconsistentConstraints(
-            "network classes do not determine the structure")
 
     for family in (ACurve, BCurve):
         cut = [c for c in curves if isinstance(c, family)]
@@ -263,8 +259,9 @@ def curve_arc_sum(alpha: MarkedCurve, beta: MarkedCurve) -> MarkedCurve:
 
 
 def is_admissible(c: MarkedCurve) -> bool:
-    """Zero value and odd homology class (the nonseparating proxy)."""
-    return c.phi % c.r == 0 and any(x % 2 for x in c.h)
+    """Zero value and primitive homology class, as for every nonseparating
+    simple closed curve."""
+    return c.phi % c.r == 0 and gcd(*c.h) == 1
 
 
 def coherence_check(boundary: Iterable[MarkedCurve], chi_sub: int) -> bool:

@@ -6,8 +6,13 @@ full boundary.  Circles live on the seams, segment curves run through the
 front copy and return through the back copy.  Every transverse crossing of a
 circle and a segment curve becomes a 4-valent vertex of a ribbon graph; the
 cyclic dart order at each vertex encodes the embedding, so Euler
-characteristic, faces, homology and the integer intersection pairing are all
-exact combinatorial computations.
+characteristic, faces and complementary regions are exact combinatorial
+computations.
+
+Homology is generated by the network curves themselves: their pairing is the
+crossing-sign matrix below, and when that matrix has rank 2g and unit
+elementary divisors the curve classes span a full-rank unimodular sublattice
+of H_1, which is all of H_1.
 
 Sign conventions (pinned here, used by every downstream module):
   * circles are oriented counterclockwise as seen in the front copy;
@@ -146,6 +151,12 @@ class RibbonSurface:
     def is_connected(self) -> bool:
         return len(self.components()) == 1
 
+    def fills(self) -> bool:
+        """True iff the network cuts the polygon's closed surface into disks:
+        it has arcs, it is connected, and chi = 2 - 2g."""
+        return (bool(self.arcs) and self.is_connected()
+                and self.euler() == 2 - 2 * genus(self.network.polygon))
+
     def genus(self) -> int:
         if not self.is_connected():
             raise NotClosedSurface("surface is not connected")
@@ -161,46 +172,23 @@ class RibbonSurface:
         return out
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """Closed dart path: each dart leaves the vertex the previous one
-    arrived at."""
-
-    darts: Tuple[Dart, ...]
-
-    def __post_init__(self):
-        ds = self.darts
-        if not ds:
-            raise SurfaceError("empty cycle")
-        for d, e in zip(ds, ds[1:] + ds[:1]):
-            if dart_vertex(dart_partner(d)) != dart_vertex(e):
-                raise SurfaceError("cycle is not closed")
-
-    @staticmethod
-    def from_curve(surface: RibbonSurface, c: CurveId) -> "Cycle":
-        if c not in surface.curve_arcs:
-            raise UnknownCurve(f"curve {c} is not on this surface")
-        return Cycle(tuple((a, 0) for a in surface.curve_arcs[c]))
-
-
 @dataclass
 class IntersectionForm:
-    """Symplectic homology data of a closed ribbon surface.
+    """Symplectic homology data of a closed ribbon surface, generated by the
+    network curves.
 
-    ``basis`` holds 2g cycles ordered x1, y1, ..., xg, yg whose pairing is
-    exactly ``matrix`` (the standard interleaved form).  ``base_change``
-    expresses each basis class as an integer combination of the fundamental
-    loops of the non-tree arcs (``chords``); ``chord_gram`` is the pairing of
-    those loops, computed from the rotation system.
+    ``chords`` holds the generating curves in network order and
+    ``chord_gram`` their crossing-sign matrix.  ``base_change`` expresses
+    each symplectic basis class x1, y1, ..., xg, yg as an integer combination
+    of those curves; their pairing is exactly ``matrix`` (the standard
+    interleaved form).
     """
 
     genus: int
-    basis: Tuple[Cycle, ...]
     matrix: Tuple[Tuple[int, ...], ...]
     base_change: Tuple[Tuple[int, ...], ...]
-    chords: Tuple[Arc, ...]
+    chords: Tuple[CurveId, ...]
     chord_gram: Tuple[Tuple[int, ...], ...]
-    tree: Tuple[Arc, ...]
 
 
 @dataclass(frozen=True)
@@ -322,117 +310,34 @@ def euler_and_faces(S: RibbonSurface) -> Tuple[int, List[Tuple[Dart, ...]]]:
 
 def is_filling(P: Polygon, net: Network) -> bool:
     """True iff every complementary piece of the network is a disk."""
-    S = inflate(P, net)
-    if not S.arcs:
-        return False
-    return S.is_connected() and S.euler() == 2 - 2 * genus(P)
+    return inflate(P, net).fills()
 
 
 # --- homology ----------------------------------------------------------------
 
-def _spanning_tree(S: RibbonSurface) -> List[Arc]:
-    root = S.vertices[0]
-    seen = {root}
-    tree: List[Arc] = []
-    frontier = [root]
-    incident: Dict[Vertex, List[Arc]] = {v: [] for v in S.vertices}
-    for a in S.arcs:
-        incident[dart_vertex((a, 0))].append(a)
-        incident[dart_vertex((a, 1))].append(a)
-    while frontier:
-        v = frontier.pop()
-        for a in incident[v]:
-            for end in (0, 1):
-                w = dart_vertex((a, end))
-                if w not in seen:
-                    seen.add(w)
-                    tree.append(a)
-                    frontier.append(w)
-    if len(seen) != len(S.vertices):
-        raise NotClosedSurface("surface is not connected")
-    return tree
+def _crossing_signs(curves: Sequence[CurveId],
+                   vertices: Sequence[Vertex]) -> List[List[int]]:
+    """Pairing matrix of the network curves, read off their crossings.
 
-
-def _rose_rotation(S: RibbonSurface, tree: Sequence[Arc]):
-    """Contract every tree arc, splicing rotations; returns the cyclic dart
-    list at the single remaining vertex."""
-    rot: Dict[Vertex, List[Dart]] = {v: list(ds) for v, ds in S.rotation.items()}
-    owner: Dict[Vertex, Vertex] = {v: v for v in S.vertices}
-
-    def find(v):
-        while owner[v] != v:
-            owner[v] = owner[owner[v]]
-            v = owner[v]
-        return v
-
-    for a in tree:
-        u = find(dart_vertex((a, 0)))
-        w = find(dart_vertex((a, 1)))
-        if u == w:
-            raise SurfaceError("tree arc joins a vertex to itself")
-        ru, rw = rot[u], rot[w]
-        iu, iw = ru.index((a, 0)), rw.index((a, 1))
-        rot[u] = ru[iu + 1:] + ru[:iu] + rw[iw + 1:] + rw[:iw]
-        owner[w] = u
-        del rot[w]
-    (rose,) = rot.values()
-    return rose
-
-
-def _interleave_sign(rose: Sequence[Dart], x: Arc, y: Arc) -> int:
-    pos = {d: i for i, d in enumerate(rose)}
-    L = len(rose)
-    base = pos[(x, 0)]
-
-    def rel(d):
-        return (pos[d] - base) % L
-
-    in_x, in_y, out_y = rel((x, 1)), rel((y, 1)), rel((y, 0))
-    if in_y < in_x < out_y:
-        return 1
-    if out_y < in_x < in_y:
-        return -1
-    return 0
-
-
-def _chord_vector(chords: Sequence[Arc], cycle: Cycle) -> List[int]:
-    index = {a: i for i, a in enumerate(chords)}
-    v = [0] * len(chords)
-    for arc, end in cycle.darts:
-        if arc in index:
-            v[index[arc]] += 1 if end == 0 else -1
-    return v
-
-
-def _tree_paths(S: RibbonSurface, tree: Sequence[Arc]):
-    """Dart paths from the root to every vertex through the tree."""
-    root = S.vertices[0]
-    adj: Dict[Vertex, List[Tuple[Vertex, Dart]]] = {v: [] for v in S.vertices}
-    for a in tree:
-        u, w = dart_vertex((a, 0)), dart_vertex((a, 1))
-        adj[u].append((w, (a, 0)))
-        adj[w].append((u, (a, 1)))
-    paths: Dict[Vertex, Tuple[Dart, ...]] = {root: ()}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w, d in adj[v]:
-            if w not in paths:
-                paths[w] = paths[v] + (d,)
-                stack.append(w)
-    return paths
-
-
-def _reverse_path(path: Tuple[Dart, ...]) -> Tuple[Dart, ...]:
-    return tuple(dart_partner(d) for d in reversed(path))
+    A(v).B(s) = +1 where s leaves v, -1 where s arrives at v; every other
+    entry (no common crossing, or two curves of one family) is 0.
+    """
+    index = {c: i for i, c in enumerate(curves)}
+    M = [[0] * len(curves) for _ in curves]
+    for x in vertices:
+        if isinstance(x, Crossing):
+            i, j = index[x.a], index[x.b]
+            sign = 1 if x.b.segment.a == x.a.point else -1
+            M[i][j], M[j][i] = sign, -sign
+    return M
 
 
 def _radical_complement(G, kernel, V, D):
     """Integer complement of the radical of G in Z^m.
 
     Prefer standard unit vectors (so basis classes stay aligned with the
-    chord loops themselves) when they complete the radical to a basis of
-    Z^m; otherwise fall back to the Smith normal form columns.
+    generating curves themselves) when they complete the radical to a basis
+    of Z^m; otherwise fall back to the Smith normal form columns.
     """
     m = len(G)
     rank = len(kernel)
@@ -449,78 +354,50 @@ def _radical_complement(G, kernel, V, D):
     return [[V[i][j] for i in range(m)] for j in range(m) if D[j][j] != 0]
 
 
-def homology_basis(S: RibbonSurface, tree: Optional[Sequence[Arc]] = None) -> IntersectionForm:
+def homology_basis(S: RibbonSurface) -> IntersectionForm:
     """Symplectic basis of the closed surface obtained by capping the faces.
 
-    The surface must be connected.  A spanning tree of the ribbon graph may
-    be supplied; by default a breadth-first tree is used.  Non-tree arcs
-    ("chords") give fundamental loops; their pairing comes from the cyclic
-    dart order after contracting the tree, and a symplectic basis of the
-    pairing modulo its radical is returned with the standard form.
+    The surface must be connected.  The network curves generate: a
+    symplectic basis of their crossing-sign matrix modulo its radical is
+    returned with the standard form.  The curves generate H_1 exactly when
+    that matrix has rank 2 - chi and unit elementary divisors; otherwise
+    ``SurfaceError`` is raised.
     """
-    custom_tree = tree is not None
-    if S._homology is not None and not custom_tree:
+    if S._homology is not None:
         return S._homology
     if not S.arcs:
         raise EmptySurface("no homology for the empty surface")
     if not S.is_connected():
         raise NotClosedSurface("surface is not connected")
-    if tree is None:
-        tree = _spanning_tree(S)
-    else:
-        tree = list(tree)
-        if len(tree) != len(S.vertices) - 1 or len(set(tree)) != len(tree):
-            raise SurfaceError("not a spanning tree")
-    tree_set = set(tree)
-    chords = tuple(a for a in S.arcs if a not in tree_set)
-    m = len(chords)
-    rose = _rose_rotation(S, tree)
-    G = [[_interleave_sign(rose, x, y) for y in chords] for x in chords]
-    for i in range(m):
-        for j in range(m):
-            assert G[i][j] == -G[j][i]
+    curves = tuple(S.network.curve_list())
+    G = _crossing_signs(curves, S.vertices)
+    n = len(curves)
 
-    D, U, V = smith_normal_form([row[:] for row in G])
-    kernel = [[V[i][j] for i in range(m)] for j in range(m) if D[j][j] == 0]
+    D, _, V = smith_normal_form([row[:] for row in G])
+    divisors = [D[j][j] for j in range(n) if D[j][j] != 0]
+    chi = S.euler()
+    if len(divisors) != 2 - chi or any(abs(d) != 1 for d in divisors):
+        raise SurfaceError(
+            f"the curves do not generate H_1: their pairing has rank "
+            f"{len(divisors)} and largest elementary divisor "
+            f"{max(map(abs, divisors), default=0)}, the Euler number is {chi}")
+    kernel = [[V[i][j] for i in range(n)] for j in range(n) if D[j][j] == 0]
     comp = _radical_complement(G, kernel, V, D)
     two_g = len(comp)
-    assert two_g % 2 == 0
     g = two_g // 2
-    chi = S.euler()
-    if chi != 2 - 2 * g:
-        raise NotClosedSurface(
-            f"pairing rank {two_g} does not match Euler number {chi}")
 
     def pair(u, v):
-        return sum(u[i] * sum(G[i][j] * v[j] for j in range(m)) for i in range(m))
+        return sum(u[i] * sum(G[i][j] * v[j] for j in range(n)) for i in range(n))
 
     Ghat = [[pair(u, v) for v in comp] for u in comp]
     sgs = symplectic_gram_schmidt(Ghat)
     base_change = []
     for coeffs in sgs:
-        vec = [0] * m
+        vec = [0] * n
         for c, basis_vec in zip(coeffs, comp):
-            for i in range(m):
+            for i in range(n):
                 vec[i] += c * basis_vec[i]
         base_change.append(tuple(vec))
-
-    paths = _tree_paths(S, tree)
-    loop_walks = {}
-    for a in chords:
-        u, w = dart_vertex((a, 0)), dart_vertex((a, 1))
-        loop_walks[a] = paths[u] + ((a, 0),) + _reverse_path(paths[w])
-
-    basis_cycles = []
-    for vec in base_change:
-        walk: List[Dart] = []
-        for a, n in zip(chords, vec):
-            if n == 0:
-                continue
-            piece = loop_walks[a]
-            if n < 0:
-                piece = _reverse_path(piece)
-            walk.extend(piece * abs(n))
-        basis_cycles.append(Cycle(tuple(walk)))
 
     J = standard_j(g)
     for i in range(two_g):
@@ -529,26 +406,13 @@ def homology_basis(S: RibbonSurface, tree: Optional[Sequence[Arc]] = None) -> In
 
     form = IntersectionForm(
         genus=g,
-        basis=tuple(basis_cycles),
         matrix=tuple(tuple(row) for row in J),
         base_change=tuple(base_change),
-        chords=chords,
+        chords=curves,
         chord_gram=tuple(tuple(row) for row in G),
-        tree=tuple(tree),
     )
-    if not custom_tree:
-        S._homology = form
+    S._homology = form
     return form
-
-
-def cycle_pairing(S: RibbonSurface, u: Cycle, v: Cycle) -> int:
-    """Algebraic intersection number of two cycles via chord coordinates."""
-    form = homology_basis(S)
-    a = _chord_vector(form.chords, u)
-    b = _chord_vector(form.chords, v)
-    G = form.chord_gram
-    m = len(a)
-    return sum(a[i] * sum(G[i][j] * b[j] for j in range(m)) for i in range(m))
 
 
 def curve_class(S: RibbonSurface, c: CurveId) -> Tuple[int, ...]:
@@ -557,14 +421,8 @@ def curve_class(S: RibbonSurface, c: CurveId) -> Tuple[int, ...]:
     if not isinstance(c, (ACurve, BCurve)) or c not in S.curve_arcs:
         raise UnknownCurve(f"curve {c!r} is not on this surface")
     form = homology_basis(S)
-    u = _chord_vector(form.chords, Cycle.from_curve(S, c))
-    G = form.chord_gram
-    m = len(u)
-
-    def pair(a, b):
-        return sum(a[i] * sum(G[i][j] * b[j] for j in range(m)) for i in range(m))
-
-    p = [pair(u, list(bc)) for bc in form.base_change]
+    row = form.chord_gram[form.chords.index(c)]
+    p = [sum(a * b for a, b in zip(row, bc)) for bc in form.base_change]
     # coords a solve a . J = p, i.e. a = -p . J
     J = form.matrix
     n = len(p)
@@ -582,7 +440,7 @@ def complement_regions(S: RibbonSurface, cut) -> List[Region]:
             raise UnknownCurve(f"curve {c} is not on this surface")
     if not S.arcs:
         raise EmptySurface("no regions on the empty surface")
-    if not S.is_connected() or S.euler() != 2 - 2 * genus(S.network.polygon):
+    if not S.fills():
         raise NotClosedSurface("region bookkeeping needs a filling network")
 
     fmap = S.face_of_dart()
@@ -680,9 +538,9 @@ def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
         check_network_invariants(completed)
     except NetworkError:
         return False
-    if not is_filling(P, completed):
-        return False
     S = inflate(P, completed)
+    if not S.fills():
+        return False
     kept = set(nprime.clauses)
 
     with_b = complement_regions(S, kept | {b})

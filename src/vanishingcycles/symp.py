@@ -57,10 +57,6 @@ class ConditionsViolated(SympError):
     """The vectors do not satisfy the square-transvection hypotheses."""
 
 
-def _std_pair(u: Sequence[int], v: Sequence[int]) -> int:
-    return _pairing(u, v)
-
-
 @dataclass(frozen=True)
 class SpMatrix:
     """Integer matrix preserving the standard alternating form.
@@ -84,7 +80,7 @@ class SpMatrix:
         for i in range(n):
             for j in range(i + 1, n):
                 want = 1 if (j == i + 1 and i % 2 == 0) else 0
-                if _std_pair(cols[i], cols[j]) != want:
+                if _pairing(cols[i], cols[j]) != want:
                     raise NotSymplectic(
                         "columns do not preserve the alternating form")
 
@@ -147,7 +143,7 @@ def _twist_matrix(v: Sequence[int]) -> SpMatrix:
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
     for j in range(n):
-        k = _std_pair(basis[j], v)
+        k = _pairing(basis[j], v)
         if k:
             for i in range(n):
                 ident[i][j] += k * v[i]
@@ -277,7 +273,7 @@ def verify_braid(a: MarkedCurve, b: MarkedCurve) -> bool:
     """
     if len(a.h) != len(b.h) or a.r != b.r:
         raise SympError("curves live under different structures")
-    if abs(_std_pair(a.h, b.h)) != 1:
+    if abs(_pairing(a.h, b.h)) != 1:
         raise BadPairing("braid relation needs pairing +-1")
     ma, mb = _twist_matrix(a.h), _twist_matrix(b.h)
     if ma @ mb @ ma != mb @ ma @ mb:
@@ -295,7 +291,7 @@ def _check_chain_pattern(chain: Sequence[MarkedCurve]) -> None:
         raise NotAChain("chain curves live under different structures")
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
-            got = abs(_std_pair(chain[i].h, chain[j].h))
+            got = abs(_pairing(chain[i].h, chain[j].h))
             want = 1 if j == i + 1 else 0
             if got != want:
                 raise NotAChain(
@@ -359,14 +355,14 @@ def _check_dn_pattern(config: Sequence[MarkedCurve]) -> None:
     dim = len(a.h)
     if any(c.r != r or len(c.h) != dim for c in config):
         raise NotDnPattern("curves live under different structures")
-    if _std_pair(a.h, ap.h) != 0:
+    if _pairing(a.h, ap.h) != 0:
         raise NotDnPattern("the two fork curves must be disjoint")
     for fork in (a, ap):
-        if abs(_std_pair(fork.h, cs[0].h)) != 1:
+        if abs(_pairing(fork.h, cs[0].h)) != 1:
             raise NotDnPattern("each fork curve must meet the first chain"
                                " curve exactly once")
         for j in range(1, len(cs)):
-            if _std_pair(fork.h, cs[j].h) != 0:
+            if _pairing(fork.h, cs[j].h) != 0:
                 raise NotDnPattern("fork curves meet only the first chain"
                                    " curve")
     if len(cs) > 1:
@@ -396,7 +392,7 @@ def verify_dn(config: Sequence[MarkedCurve],
             raise NotDnPattern("boundary curves live under different"
                                " structures")
         for c in config:
-            if _std_pair(b.h, c.h) != 0:
+            if _pairing(b.h, c.h) != 0:
                 raise NotDnPattern("boundary curves are disjoint from the"
                                    " configuration")
     total = [sum(col) for col in zip(*(b.h for b in boundary))]
@@ -442,11 +438,11 @@ def nested_twist_power_check(config: Sequence[MarkedCurve],
     if len(z) != dim or len(delta1.h) != dim:
         raise NotDnPattern("boundary curves live under different structures")
     for c in config:
-        if _std_pair(z, c.h) != 0:
+        if _pairing(z, c.h) != 0:
             raise NotDnPattern("fork-side boundary must be disjoint from the"
                                " configuration")
     for c in config[:-1]:
-        if _std_pair(delta1.h, c.h) != 0:
+        if _pairing(delta1.h, c.h) != 0:
             raise NotDnPattern("the even-truncation boundary must be disjoint"
                                " from the truncation")
     t_z = _twist_matrix(z)
@@ -487,14 +483,14 @@ def square_transvection_identity(w: Sequence[int], v1: Sequence[int],
     modulus the comparison happens in the reduced matrix ring instead of
     over the integers.
     """
-    if _std_pair(v1, v2) != 1 or _std_pair(v2, v3) != 1:
+    if _pairing(v1, v2) != 1 or _pairing(v2, v3) != 1:
         raise ConditionsViolated("consecutive pairings must equal 1")
-    if _std_pair(v1, v3) != 0:
+    if _pairing(v1, v3) != 0:
         raise ConditionsViolated("outer vectors must be disjoint")
     if tuple(w) != tuple(a + b for a, b in zip(v1, v3)):
         raise ConditionsViolated("w must equal v1 + v3")
     for v in (v1, v2, v3):
-        if _std_pair(v, w) != 0:
+        if _pairing(v, w) != 0:
             raise ConditionsViolated("each v_i must be orthogonal to w")
     if q is not None:
         for v in (v1, v2, v3):

@@ -10,7 +10,7 @@ the stabilizer of the invariant spin structure.
 Hypotheses (reported individually, failures aggregated, never raised):
 
 * ``H1`` — every network curve is admissible for the canonical structure:
-  value zero and homologically nonseparating.
+  value zero and a primitive homology class.
 * ``H2`` — the network contains the distinguished chain configuration read
   along the first axis of the normalized polygon.
 * ``H3`` — the network has a curve meeting the omitted segment curve in
@@ -48,12 +48,18 @@ from .network import (
     intersection_graph,
     subnetwork_nprime,
 )
-from .spin import MarkedCurve, SpinError, canonical_spin, is_admissible, marked_network_curve
+from .spin import (
+    MarkedCurve,
+    ModulusMismatch,
+    SpinError,
+    canonical_spin,
+    is_admissible,
+    marked_network_curve,
+)
 from .surface import (
     SurfaceError,
     euler_and_faces,
     inflate,
-    is_filling,
     relative_filling,
 )
 
@@ -241,7 +247,7 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
 
     chi, faces = euler_and_faces(S)
     connected, betti, _ = graph_stats(intersection_graph(net))
-    fills = is_filling(Q, net)
+    fills = S.fills()
     evidence.update({
         "curves": len(net),
         "network_connected": connected,
@@ -330,12 +336,17 @@ def is_vanishing_cycle(c: MarkedCurve, P: Polygon,
 
     Requires the polygon to pass the full verification (pass a precomputed
     ``report`` to skip recomputation).  The answer is the admissibility of
-    the class: value zero and homologically nonseparating.
+    the class: value zero and primitive.  A curve under another modulus, or
+    of another genus, raises ``ModulusMismatch``.
     """
     if report is None:
         report = check_networkgenset(P)
     if report.classification is None:
         raise GatesNotPassed("; ".join(report.warnings) or "verification failed")
+    if c.r != report.r or len(c.h) != 2 * report.g:
+        raise ModulusMismatch(
+            f"curve of modulus {c.r} and length {len(c.h)} does not live on "
+            f"the genus-{report.g} surface of modulus {report.r}")
     return is_admissible(c)
 
 

@@ -184,6 +184,14 @@ def test_even_class_never_admissible():
     assert not is_admissible(mc((0, 0, 0, 0), 0, 1))
 
 
+def test_admissible_classes_are_primitive():
+    # 3*x1 has an odd entry but is no simple closed curve's class
+    assert not is_admissible(mc((3, 0, 0, 0), 0, 3))
+    assert not is_admissible(mc((3, 0, -6, 9), 0, 1))
+    assert is_admissible(mc((3, 2, 0, 0), 0, 3))
+    assert is_admissible(mc((0, 0, 0, -1), 0, 1))
+
+
 def test_nonzero_value_not_admissible_but_power_twist_acts():
     r = 3
     c = mc((1, 0), 1, r)

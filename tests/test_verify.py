@@ -12,7 +12,13 @@ from vanishingcycles.lattice import (
     adjoint_divisibility,
     genus,
 )
-from vanishingcycles.spin import MarkedCurve, canonical_spin, marked_network_curve, twist
+from vanishingcycles.spin import (
+    MarkedCurve,
+    ModulusMismatch,
+    canonical_spin,
+    marked_network_curve,
+    twist,
+)
 from vanishingcycles.network import build_network
 from vanishingcycles.surface import inflate
 from vanishingcycles.verify import (
@@ -202,6 +208,17 @@ def test_even_and_zero_classes_are_rejected(side6_report, side6_marked):
     assert not is_vanishing_cycle(doubled, TRIANGLE6, report=side6_report)
     zero = MarkedCurve((0,) * len(base.h), 0, base.r)
     assert not is_vanishing_cycle(zero, TRIANGLE6, report=side6_report)
+
+
+def test_decision_rejects_curves_of_another_structure(side6_report, side6_marked):
+    base = side6_marked[0]
+    assert base.r == side6_report.r == 3
+    with pytest.raises(ModulusMismatch):
+        is_vanishing_cycle(MarkedCurve(base.h, 0, 7), TRIANGLE6,
+                           report=side6_report)
+    with pytest.raises(ModulusMismatch):
+        is_vanishing_cycle(MarkedCurve((1, 0), 0, base.r), TRIANGLE6,
+                           report=side6_report)
 
 
 def test_decision_requires_passing_gates():
