@@ -34,6 +34,21 @@ def mat_vec(a, v):
     return [sum(c * x for c, x in zip(row, v)) for row in a]
 
 
+def support(v) -> list[tuple[int, int]]:
+    """The nonzero entries (j, v_j) of a vector."""
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def sparse_dot(u, v) -> int:
+    """u.v for u given by its support."""
+    return sum(x * v[j] for j, x in u)
+
+
+def sparse_mat_vec(rows, v) -> list[int]:
+    """a.v for a matrix given by the supports of its rows."""
+    return [sparse_dot(row, v) for row in rows]
+
+
 def det_bareiss(mat) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
     a = [list(map(int, row)) for row in mat]
@@ -205,7 +220,15 @@ def ext_gcd(a: int, b: int):
 def symplectic_gram_schmidt(M):
     """Given an antisymmetric unimodular pairing matrix M on Z^(2n), return a
     list of 2n integer vectors b_1..b_2n (in the original coordinates, paired
-    as x1,y1,x2,y2,...) with b_i^T M b_j the standard interleaved form."""
+    as x1,y1,x2,y2,...) with b_i^T M b_j the standard interleaved form.
+
+    Each step takes the first remaining vector x and computes M.x once, from
+    the nonzero entries of M, so each pairing <x, w> = -w.(M x) costs the
+    number of nonzero entries of M.x, at most 2n.  Euclid's algorithm on
+    these pairings, by unimodular moves among the other vectors, leaves one,
+    y, with <x, y> = +-1 (the first w with <x, w> = +-1 if there is one, with
+    no moves).  The others, projected with M.y onto the complement of x and
+    y, are a basis of it."""
     n2 = len(M)
     assert n2 % 2 == 0
     for i in range(n2):
@@ -213,41 +236,40 @@ def symplectic_gram_schmidt(M):
         for j in range(n2):
             assert M[i][j] == -M[j][i]
 
-    def pair(u, v):
-        return sum(u[i] * sum(M[i][j] * v[j] for j in range(n2)) for i in range(n2))
+    rows = [support(row) for row in M]
+
+    def pairings(vectors, v):
+        # [<w, v>] = [w.(M v)] for w in vectors
+        Mv = support(sparse_mat_vec(rows, v))
+        return [sparse_dot(Mv, w) for w in vectors]
 
     remaining = [[1 if i == j else 0 for j in range(n2)] for i in range(n2)]
     out = []
     while remaining:
-        x = remaining[0]
-        rest = remaining[1:]
-        # integer combination y of rest with <x, y> == 1
-        g, y = 0, [0] * n2
-        for w in rest:
-            p = pair(x, w)
-            if p == 0:
-                continue
-            gg, a, b = _ext_gcd(g, p)
-            y = [a * u + b * v for u, v in zip(y, w)]
-            g = gg
-            if g == 1:
+        x, rest = remaining[0], remaining[1:]
+        p = [-t for t in pairings(rest, x)]  # p[i] = <x, rest[i]>
+        while True:
+            live = [i for i, v in enumerate(p) if v]
+            if not live:
+                raise ValueError("degenerate pairing")
+            k = min(live, key=lambda i: abs(p[i]))
+            if abs(p[k]) == 1:
                 break
-        if g == 0:
-            raise ValueError("degenerate pairing")
-        if g != 1:
-            raise ValueError("pairing not unimodular (gcd %d)" % g)
+            if len(live) == 1:
+                raise ValueError("pairing not unimodular (gcd %d)" % abs(p[k]))
+            for i in live:
+                if i != k:
+                    q = p[i] // p[k]
+                    rest[i] = [u - q * v for u, v in zip(rest[i], rest[k])]
+                    p[i] -= q * p[k]
+        sign = p.pop(k)
+        y = [sign * v for v in rest.pop(k)]
         out.append(x)
         out.append(y)
-        projected = []
-        for w in rest:
-            a, b = pair(w, y), pair(w, x)
-            projected.append([wi - a * xi + b * yi for wi, xi, yi in zip(w, x, y)])
-        remaining = [w for w in projected if any(w)]
-        # keep exactly the symplectic complement rank
-        want = n2 - len(out)
-        if len(remaining) > want:
-            remaining = [list(r) for r in integer_row_echelon(remaining, n2)]
-        assert len(remaining) == want, (len(remaining), want)
+        # w - <w, y> x + <w, x> y, with <w, x> = -p
+        remaining = [[wi - a * xi - b * yi for wi, xi, yi in zip(w, x, y)]
+                     if a or b else w
+                     for w, a, b in zip(rest, pairings(rest, y), p)]
     return out
 
 

@@ -27,13 +27,16 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .intlinalg import (
     det_bareiss,
-    integer_row_echelon,
     smith_normal_form,
+    sparse_dot,
+    sparse_mat_vec,
     standard_j,
+    support,
     symplectic_gram_schmidt,
 )
 from .lattice import Point, Polygon, Segment, genus
@@ -181,7 +184,9 @@ class IntersectionForm:
     ``chord_gram`` their crossing-sign matrix.  ``base_change`` expresses
     each symplectic basis class x1, y1, ..., xg, yg as an integer combination
     of those curves; their pairing is exactly ``matrix`` (the standard
-    interleaved form).
+    interleaved form).  ``classes`` is the table of curve classes: each
+    curve's coordinates in that basis, read off the products G.b that the
+    check of ``matrix`` computes.
     """
 
     genus: int
@@ -189,6 +194,7 @@ class IntersectionForm:
     base_change: Tuple[Tuple[int, ...], ...]
     chords: Tuple[CurveId, ...]
     chord_gram: Tuple[Tuple[int, ...], ...]
+    classes: Dict[CurveId, Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -332,24 +338,50 @@ def _crossing_signs(curves: Sequence[CurveId],
     return M
 
 
+def _extend_echelon(echelon: Dict[int, List[int]], v) -> bool:
+    """Add v to a row echelon form over Q (leading column -> row).  Return
+    False, leaving the form unchanged, when v lies in the span of its rows."""
+    v = list(v)
+    while True:
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        b = echelon.get(c)
+        if b is None:
+            echelon[c] = v
+            return True
+        p, q = b[c], v[c]
+        v = [p * x - q * y for x, y in zip(v, b)]
+        d = gcd(*v)
+        if d > 1:
+            v = [x // d for x in v]
+
+
 def _radical_complement(G, kernel, V, D):
     """Integer complement of the radical of G in Z^m.
 
     Prefer standard unit vectors (so basis classes stay aligned with the
     generating curves themselves) when they complete the radical to a basis
-    of Z^m; otherwise fall back to the Smith normal form columns.
+    of Z^m; otherwise fall back to the Smith normal form columns.  A unit
+    vector is kept when it raises the rank of the radical and the vectors
+    kept so far, which one running echelon form decides.
     """
     m = len(G)
-    rank = len(kernel)
+    echelon: Dict[int, List[int]] = {}
+    for k in kernel:
+        _extend_echelon(echelon, k)
     chosen: List[List[int]] = []
+    free = []
     for j in range(m):
         e = [1 if i == j else 0 for i in range(m)]
-        cand = kernel + chosen + [e]
-        if len(integer_row_echelon(cand, m)) > rank + len(chosen):
+        if _extend_echelon(echelon, e):
             chosen.append(e)
-    if len(kernel) + len(chosen) == m:
-        square = [row[:] for row in kernel + chosen]
-        if abs(det_bareiss(square)) == 1:
+        else:
+            free.append(j)
+    # expanding the determinant of kernel + chosen along the unit rows
+    # leaves the minor of the kernel on the columns no unit vector covers
+    if len(free) == len(kernel):
+        if abs(det_bareiss([[k[j] for j in free] for k in kernel])) == 1:
             return chosen
     return [[V[i][j] for i in range(m)] for j in range(m) if D[j][j] != 0]
 
@@ -359,9 +391,13 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
 
     The surface must be connected.  The network curves generate: a
     symplectic basis of their crossing-sign matrix modulo its radical is
-    returned with the standard form.  The curves generate H_1 exactly when
-    that matrix has rank 2 - chi and unit elementary divisors; otherwise
+    returned with the standard form, together with the class of every
+    curve in that basis.  The curves generate H_1 exactly when that matrix
+    has rank 2 - chi and unit elementary divisors; otherwise
     ``SurfaceError`` is raised.
+
+    Every pairing is a dot product with a precomputed G.v, so it costs O(n)
+    for n curves.
     """
     if S._homology is not None:
         return S._homology
@@ -385,24 +421,34 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
     comp = _radical_complement(G, kernel, V, D)
     two_g = len(comp)
     g = two_g // 2
+    # a curve crosses only a few others, so G is sparse
+    rows = [support(row) for row in G]
 
-    def pair(u, v):
-        return sum(u[i] * sum(G[i][j] * v[j] for j in range(n)) for i in range(n))
-
-    Ghat = [[pair(u, v) for v in comp] for u in comp]
+    sparse_comp = [support(v) for v in comp]
+    Gcomp = [sparse_mat_vec(rows, v) for v in comp]
+    Ghat = [[sparse_dot(u, Gv) for Gv in Gcomp] for u in sparse_comp]
     sgs = symplectic_gram_schmidt(Ghat)
     base_change = []
     for coeffs in sgs:
         vec = [0] * n
-        for c, basis_vec in zip(coeffs, comp):
-            for i in range(n):
-                vec[i] += c * basis_vec[i]
+        for c, basis_vec in zip(coeffs, sparse_comp):
+            for i, x in basis_vec:
+                vec[i] += c * x
         base_change.append(tuple(vec))
 
+    Gb = [sparse_mat_vec(rows, b) for b in base_change]
     J = standard_j(g)
-    for i in range(two_g):
+    for i, b in enumerate(base_change):
+        u = support(b)
         for j in range(two_g):
-            assert pair(list(base_change[i]), list(base_change[j])) == J[i][j]
+            assert sparse_dot(u, Gb[j]) == J[i][j]
+
+    # the class a of curve c solves a.J = p with p_k = <c, b_k> = (G b_k)[c],
+    # so a = -p.J; for the interleaved J and p indexed from 1 that is
+    # (p_2, -p_1, p_4, -p_3, ...)
+    classes = {c: tuple(x for k in range(g)
+                        for x in (Gb[2 * k + 1][i], -Gb[2 * k][i]))
+               for i, c in enumerate(curves)}
 
     form = IntersectionForm(
         genus=g,
@@ -410,6 +456,7 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
         base_change=tuple(base_change),
         chords=curves,
         chord_gram=tuple(tuple(row) for row in G),
+        classes=classes,
     )
     S._homology = form
     return form
@@ -417,16 +464,10 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
 
 def curve_class(S: RibbonSurface, c: CurveId) -> Tuple[int, ...]:
     """Coordinates of a network curve in the symplectic basis, ordered
-    x1, y1, ..., xg, yg."""
+    x1, y1, ..., xg, yg: a lookup in the class table of ``homology_basis``."""
     if not isinstance(c, (ACurve, BCurve)) or c not in S.curve_arcs:
         raise UnknownCurve(f"curve {c!r} is not on this surface")
-    form = homology_basis(S)
-    row = form.chord_gram[form.chords.index(c)]
-    p = [sum(a * b for a, b in zip(row, bc)) for bc in form.base_change]
-    # coords a solve a . J = p, i.e. a = -p . J
-    J = form.matrix
-    n = len(p)
-    return tuple(-sum(p[k] * J[k][i] for k in range(n)) for i in range(n))
+    return homology_basis(S).classes[c]
 
 
 # --- complementary regions ----------------------------------------------------

@@ -198,6 +198,16 @@ def _refusal(Q: Polygon, g: int, r, hyper, gates, warnings) -> VerificationRepor
     )
 
 
+def _normalized(P: Polygon) -> Polygon:
+    """The polygon in the coordinates of its report."""
+    try:
+        return canonical_form(P)[0]
+    except DegenerateDimension:
+        # Normalization anchors on the inner hull, so it is undefined for the
+        # refusal inputs; they are reported in the given coordinates.
+        return P
+
+
 def check_networkgenset(P: Polygon) -> VerificationReport:
     """Run the full pipeline on ``P`` and aggregate every check into a report.
 
@@ -206,12 +216,7 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
     raised; refusals (hyperelliptic, low genus, degenerate adjoint) come back
     as warnings with no classification.
     """
-    try:
-        Q, _ = canonical_form(P)
-    except DegenerateDimension:
-        # Normalization anchors on the inner hull, so it is undefined for the
-        # refusal inputs below; report them in the given coordinates.
-        Q = P
+    Q = _normalized(P)
     g = genus(Q)
     adj = adjoint(Q)
 
@@ -336,11 +341,16 @@ def is_vanishing_cycle(c: MarkedCurve, P: Polygon,
 
     Requires the polygon to pass the full verification (pass a precomputed
     ``report`` to skip recomputation).  The answer is the admissibility of
-    the class: value zero and primitive.  A curve under another modulus, or
-    of another genus, raises ``ModulusMismatch``.
+    the class: value zero and primitive.  A report of another polygon raises
+    ``VerifyError``; a curve under another modulus, or of another genus,
+    raises ``ModulusMismatch``.
     """
     if report is None:
         report = check_networkgenset(P)
+    elif report.polygon != _normalized(P).vertices:
+        raise VerifyError(
+            f"the report is for the polygon {list(report.polygon)}, "
+            f"not for {list(P.vertices)}")
     if report.classification is None:
         raise GatesNotPassed("; ".join(report.warnings) or "verification failed")
     if c.r != report.r or len(c.h) != 2 * report.g:

@@ -1,4 +1,9 @@
+import itertools
 import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanishingcycles.intlinalg import (
     det_bareiss,
@@ -12,6 +17,7 @@ from vanishingcycles.intlinalg import (
     mat_mul,
     mat_vec,
     rank_mod2,
+    solve_mod2,
 )
 
 
@@ -141,6 +147,55 @@ def test_symplectic_gram_schmidt_congruent_form():
                     assert pair == (1 if i % 2 == 0 else -1)
                 else:
                     assert pair == 0
+
+
+def test_symplectic_gram_schmidt_rejects_degenerate_and_non_unimodular():
+    with pytest.raises(ValueError, match="degenerate pairing"):
+        symplectic_gram_schmidt([[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="not unimodular"):
+        symplectic_gram_schmidt([[0, 2], [-2, 0]])
+
+
+@st.composite
+def unimodular_congruences(draw):
+    """(g, S^T J S) for a unimodular S = L U with unit triangular L, U."""
+    g = draw(st.integers(1, 5))
+    n = 2 * g
+    entries = st.integers(-2, 2)
+    lower = [[1 if i == k else draw(entries) if k < i else 0 for k in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == k else draw(entries) if k > i else 0 for k in range(n)]
+             for i in range(n)]
+    s = mat_mul(lower, upper)
+    return g, mat_mul(mat_mul([list(r) for r in zip(*s)], standard_j(g)), s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular_congruences())
+def test_symplectic_gram_schmidt_property(case):
+    g, m = case
+    basis = symplectic_gram_schmidt(m)
+    b_t = [list(col) for col in zip(*basis)]
+    assert mat_mul(mat_mul(basis, m), b_t) == standard_j(g)
+
+
+def test_solve_mod2_against_brute_force():
+    rng = random.Random(13)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = random_matrix(rng, rng.randint(1, 8), n, -3, 3)
+        rhs = [rng.randint(-3, 3) for _ in rows]
+        solutions = [x for x in itertools.product((0, 1), repeat=n)
+                     if all(sum(a * b for a, b in zip(row, x)) % 2 == c % 2
+                            for row, c in zip(rows, rhs))]
+        x = solve_mod2(rows, rhs, n)
+        seen[bool(solutions)] += 1
+        if solutions:
+            assert tuple(x) in solutions
+        else:
+            assert x is None
+    assert seen[True] > 20 and seen[False] > 20
 
 
 def test_rank_mod2():

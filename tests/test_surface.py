@@ -14,6 +14,7 @@ from vanishingcycles.network import (
     spanning_tree_correspondence,
     subnetwork_nprime,
 )
+from vanishingcycles.spin import _pairing
 from vanishingcycles.surface import (
     EmptySurface,
     NonTransverseData,
@@ -36,6 +37,7 @@ TRIANGLE6 = Polygon(((0, 0), (6, 0), (0, 6)))
 TRIANGLE4 = Polygon(((0, 0), (4, 0), (0, 4)))
 SQUARE4 = Polygon(((0, 0), (4, 0), (4, 4), (0, 4)))
 TRIANGLE3 = Polygon(((0, 0), (3, 0), (0, 3)))
+TRIANGLE10 = Polygon(((0, 0), (10, 0), (0, 10)))
 
 
 def torus_network(seg):
@@ -205,19 +207,18 @@ def test_chord_gram_is_antisymmetric_and_unimodular_mod_radical():
     assert len(divisors) == 20 and all(abs(d) == 1 for d in divisors)
 
 
-@pytest.mark.parametrize("P", [TRIANGLE6, TRIANGLE4, SQUARE4])
+@pytest.mark.parametrize("P", [TRIANGLE6, TRIANGLE4, SQUARE4, TRIANGLE10])
 def test_pairing_matches_crossing_signs_for_all_pairs(P):
+    # the classes looked up in the table pair like the curves cross, for
+    # every ordered pair, the A-A and B-B zeros included
     net, S = built(P)
     form = homology_basis(S)
-    J = form.matrix
-    n = 2 * form.genus
-    classes = {c: curve_class(S, c) for c in net.curve_list()}
-    for c1 in net.curve_list():
-        u = classes[c1]
-        for c2 in net.curve_list():
-            v = classes[c2]
-            got = sum(u[i] * J[i][j] * v[j] for i in range(n) for j in range(n))
-            assert got == expected_sign(c1, c2), (c1, c2)
+    assert form.chords == tuple(net.curve_list())
+    classes = [curve_class(S, c) for c in form.chords]
+    for i, c1 in enumerate(form.chords):
+        for j, c2 in enumerate(form.chords):
+            got = _pairing(classes[i], classes[j])
+            assert got == form.chord_gram[i][j] == expected_sign(c1, c2), (c1, c2)
 
 
 def assert_oracle_matches_sign_matrix(S, tree=None):

@@ -227,6 +227,25 @@ def test_decision_requires_passing_gates():
         is_vanishing_cycle(probe, Polygon(((0, 0), (4, 0), (0, 4))))
 
 
+def test_decision_rejects_a_report_of_another_polygon(side6_report,
+                                                     side6_marked):
+    curve = side6_marked[0]
+    genus_one = Polygon(((0, 0), (3, 0), (0, 3)))
+    with pytest.raises(VerifyError):
+        is_vanishing_cycle(curve, genus_one, report=side6_report)
+    with pytest.raises(VerifyError):
+        is_vanishing_cycle(curve, SQUARE4, report=side6_report)
+    # a unimodular image of the side-6 triangle shares its report
+    image = Polygon(((3, -2), (9, -2), (9, 4)))
+    assert is_vanishing_cycle(curve, image, report=side6_report)
+
+
+def test_side10_triangle_classifies_odd():
+    report = check_networkgenset(Polygon(((0, 0), (10, 0), (0, 10))))
+    assert (report.g, report.r) == (36, 7)
+    assert report.classification == ODD_VERDICT
+
+
 # --- plane-curve and product corpus ---------------------------------------------
 
 def test_triangle_corpus_genus_and_modulus():
