@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .lattice import (
     LatticeError,
+    NoUnimodularNormalization,
     Polygon,
     adjoint,
     adjoint_divisibility,
@@ -150,8 +151,12 @@ def _cmd_analyze(args) -> int:
     }
     if adj.kind == "polygon":
         summary["modulus"] = adjoint_divisibility(P)
-        Q, _ = canonical_form(P)
-        summary["normal_form"] = [list(v) for v in Q.vertices]
+        try:
+            Q, _ = canonical_form(P)
+            summary["normal_form"] = [list(v) for v in Q.vertices]
+        except NoUnimodularNormalization:
+            # some inner-hull corner is not unimodular
+            summary["normal_form"] = None
     else:
         summary["modulus"] = None
         summary["normal_form"] = None
@@ -189,7 +194,10 @@ def _cmd_network(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = check_networkgenset(_load_polygon(args.input))
+    try:
+        report = check_networkgenset(_load_polygon(args.input))
+    except NoUnimodularNormalization as exc:
+        raise CliInputError(f"cannot verify this polygon: {exc}") from exc
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2), args.out)
     else:

@@ -1,5 +1,6 @@
 """Exact integer linear algebra: determinants, Smith normal form, integer
-solving, symplectic basis extraction, and small GF(2) helpers.
+solving, the symplectic reduction of alternating forms, and small GF(2)
+helpers.
 
 All routines work on lists of lists of Python ints so there is no precision
 ceiling.  numpy is deliberately not used here; callers that want numpy convert
@@ -37,16 +38,6 @@ def mat_vec(a, v):
 def support(v) -> list[tuple[int, int]]:
     """The nonzero entries (j, v_j) of a vector."""
     return [(j, x) for j, x in enumerate(v) if x]
-
-
-def sparse_dot(u, v) -> int:
-    """u.v for u given by its support."""
-    return sum(x * v[j] for j, x in u)
-
-
-def sparse_mat_vec(rows, v) -> list[int]:
-    """a.v for a matrix given by the supports of its rows."""
-    return [sparse_dot(row, v) for row in rows]
 
 
 def det_bareiss(mat) -> int:
@@ -206,10 +197,17 @@ def integer_row_echelon(rows, ncols):
 
 
 def _ext_gcd(a: int, b: int):
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+    # Euclid's algorithm run forward: (a, b) = (x0, y0).(a0, b0) and
+    # (x1, y1).(a0, b0) throughout, which gives the coefficients the
+    # recursive back-substitution gives, in constant stack depth
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    if a < 0:
+        return (-a, -x0, -y0)
+    return (a, x0, y0)
 
 
 def ext_gcd(a: int, b: int):
@@ -217,18 +215,104 @@ def ext_gcd(a: int, b: int):
     return _ext_gcd(a, b)
 
 
+def _pairing(u: dict, Mw: dict) -> int:
+    # u.(M w) for sparse u and M w, summed over the smaller support
+    if len(u) <= len(Mw):
+        return sum(c * Mw.get(j, 0) for j, c in u.items())
+    return sum(c * u.get(j, 0) for j, c in Mw.items())
+
+
+def _add_multiple(u: dict, c: int, v: dict) -> None:
+    # u += c v in place, keeping only nonzero entries
+    for j, x in v.items():
+        t = u.get(j, 0) + c * x
+        if t:
+            u[j] = t
+        else:
+            del u[j]
+
+
+def symplectic_reduction(rows):
+    """Split Z^n, paired by <u, w> = u.M.w for the antisymmetric n x n matrix
+    M whose rows have the given supports (see ``support``), into an
+    orthogonal sum of hyperbolic pairs and the radical.
+
+    Returns ``(pairs, radical)``.  Each pair is ``(d, x, Mx, y, My)`` with
+    <x, y> = d > 0; every vector v is a dict {coordinate: entry} carried with
+    its product M v, so a pairing is a dot product over the smaller support.
+    Together the pairs and the radical vectors are a basis of Z^n in which M
+    is d_1 J_1 + d_2 J_1 + ... + 0: the rank of M is twice the number of
+    pairs, its largest elementary divisor is the lcm of the d_i, and M is
+    unimodular modulo its radical exactly when every d_i is 1.
+
+    Each step takes the first vector x still left.  If it pairs with none of
+    the others it joins the radical; otherwise its partner y is the first
+    with the least nonzero |<x, y>|.  Every other vector w
+    is reduced modulo the pair, w - q x + q' y, which leaves its pairings
+    with x and y as remainders mod d; only a vector that pairs with x or y
+    changes.  When d = 1 this is the projection off the pair.  A nonzero
+    remainder is a smaller pairing, which becomes the new pair, so a pivot
+    d > 1 is kept only once it divides every pairing of x and y with the
+    rest (Newman, Integral Matrices, ch. IV).
+    """
+    # M e_i is column i of M, which is minus row i
+    live = [({i: 1}, {j: -x for j, x in row}) for i, row in enumerate(rows)]
+    pairs = []
+    radical = []
+    while live:
+        x, Mx = live.pop(0)
+        p = [_pairing(x, Mw) for _, Mw in live]
+        k = min((i for i, v in enumerate(p) if v), key=lambda i: abs(p[i]),
+                default=None)
+        if k is None:
+            radical.append((x, Mx))
+            continue
+        y, My = live.pop(k)
+        d = p[k]
+        if d < 0:
+            y, My, d = ({j: -c for j, c in y.items()},
+                        {j: -c for j, c in My.items()}, -d)
+        while True:
+            best = None  # (remainder, index, pairs with y)
+            for i, (w, Mw) in enumerate(live):
+                a, b = _pairing(w, My), _pairing(w, Mx)  # <w, y>, <w, x>
+                if not (a or b):
+                    continue
+                qa, qb = a // d, b // d
+                if qa:
+                    _add_multiple(w, -qa, x)
+                    _add_multiple(Mw, -qa, Mx)
+                if qb:
+                    _add_multiple(w, qb, y)
+                    _add_multiple(Mw, qb, My)
+                # now <w, y> = a - qa d and <w, x> = b - qb d
+                for r, with_y in ((a - qa * d, True), (b - qb * d, False)):
+                    if r and (best is None or r < best[0]):
+                        best = (r, i, with_y)
+            if best is None:
+                pairs.append((d, x, Mx, y, My))
+                break
+            d, i, with_y = best
+            w, Mw = live[i]
+            if with_y:
+                # <w, y> = d: w replaces x
+                live[i] = (x, Mx)
+                x, Mx = w, Mw
+            else:
+                # <x, -w> = <w, x> = d: -w replaces y
+                live[i] = (y, My)
+                y, My = ({j: -c for j, c in w.items()},
+                         {j: -c for j, c in Mw.items()})
+    return pairs, radical
+
+
 def symplectic_gram_schmidt(M):
     """Given an antisymmetric unimodular pairing matrix M on Z^(2n), return a
     list of 2n integer vectors b_1..b_2n (in the original coordinates, paired
     as x1,y1,x2,y2,...) with b_i^T M b_j the standard interleaved form.
 
-    Each step takes the first remaining vector x and computes M.x once, from
-    the nonzero entries of M, so each pairing <x, w> = -w.(M x) costs the
-    number of nonzero entries of M.x, at most 2n.  Euclid's algorithm on
-    these pairings, by unimodular moves among the other vectors, leaves one,
-    y, with <x, y> = +-1 (the first w with <x, w> = +-1 if there is one, with
-    no moves).  The others, projected with M.y onto the complement of x and
-    y, are a basis of it."""
+    The basis is the one ``symplectic_reduction`` finds; ``ValueError`` is
+    raised when M has a radical or is not unimodular."""
     n2 = len(M)
     assert n2 % 2 == 0
     for i in range(n2):
@@ -236,41 +320,14 @@ def symplectic_gram_schmidt(M):
         for j in range(n2):
             assert M[i][j] == -M[j][i]
 
-    rows = [support(row) for row in M]
-
-    def pairings(vectors, v):
-        # [<w, v>] = [w.(M v)] for w in vectors
-        Mv = support(sparse_mat_vec(rows, v))
-        return [sparse_dot(Mv, w) for w in vectors]
-
-    remaining = [[1 if i == j else 0 for j in range(n2)] for i in range(n2)]
-    out = []
-    while remaining:
-        x, rest = remaining[0], remaining[1:]
-        p = [-t for t in pairings(rest, x)]  # p[i] = <x, rest[i]>
-        while True:
-            live = [i for i, v in enumerate(p) if v]
-            if not live:
-                raise ValueError("degenerate pairing")
-            k = min(live, key=lambda i: abs(p[i]))
-            if abs(p[k]) == 1:
-                break
-            if len(live) == 1:
-                raise ValueError("pairing not unimodular (gcd %d)" % abs(p[k]))
-            for i in live:
-                if i != k:
-                    q = p[i] // p[k]
-                    rest[i] = [u - q * v for u, v in zip(rest[i], rest[k])]
-                    p[i] -= q * p[k]
-        sign = p.pop(k)
-        y = [sign * v for v in rest.pop(k)]
-        out.append(x)
-        out.append(y)
-        # w - <w, y> x + <w, x> y, with <w, x> = -p
-        remaining = [[wi - a * xi - b * yi for wi, xi, yi in zip(w, x, y)]
-                     if a or b else w
-                     for w, a, b in zip(rest, pairings(rest, y), p)]
-    return out
+    pairs, radical = symplectic_reduction([support(row) for row in M])
+    if radical:
+        raise ValueError("degenerate pairing")
+    d = max((d for d, *_ in pairs), default=1)
+    if d != 1:
+        raise ValueError("pairing not unimodular (gcd %d)" % d)
+    return [[v.get(j, 0) for j in range(n2)]
+            for _, x, _, y, _ in pairs for v in (x, y)]
 
 
 def standard_j(g: int) -> list[list[int]]:

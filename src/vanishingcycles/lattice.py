@@ -11,7 +11,7 @@ All arithmetic is exact; no floating point is used in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 
@@ -102,6 +102,8 @@ class Polygon:
     starting from the lexicographically least vertex."""
 
     vertices: tuple[Point, ...]
+    _interior: tuple[Point, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vs = tuple((int(x), int(y)) for x, y in self.vertices)
@@ -146,15 +148,20 @@ class Polygon:
         ys = [v[1] for v in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
 
-    def lattice_points(self) -> list[Point]:
+    def _scan(self, strict: bool) -> list[Point]:
         x0, y0, x1, y1 = self.bounding_box()
         return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
-                if self.contains((x, y))]
+                if self.contains((x, y), strict=strict)]
+
+    def lattice_points(self) -> list[Point]:
+        return self._scan(strict=False)
 
     def interior_points(self) -> list[Point]:
-        x0, y0, x1, y1 = self.bounding_box()
-        return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
-                if self.contains((x, y), strict=True)]
+        """The interior lattice points, found once per polygon; every call
+        returns a fresh list, which the caller may change."""
+        if self._interior is None:
+            object.__setattr__(self, "_interior", tuple(self._scan(strict=True)))
+        return list(self._interior)
 
     def translate(self, t: Point) -> "Polygon":
         return Polygon(tuple((x + t[0], y + t[1]) for x, y in self.vertices))

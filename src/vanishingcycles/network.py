@@ -16,7 +16,7 @@ with its two inner-hull edges along the positive axes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .lattice import (
@@ -112,6 +112,15 @@ class Network:
     embedding: UnimodularMap
     r: int
     adjoint_polygon: Polygon
+    # facts of the curve set, each built once: the sorted curves, the
+    # segment curves at each point, and whether the segment pairs passed
+    # check_network_invariants; a network's clauses do not change
+    _curves: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False)
+    _incident: Optional[dict] = field(
+        default=None, init=False, repr=False, compare=False)
+    _segments_checked: bool = field(
+        default=False, init=False, repr=False, compare=False)
 
     def __contains__(self, curve: CurveId) -> bool:
         return curve in self.clauses
@@ -120,7 +129,19 @@ class Network:
         return len(self.clauses)
 
     def curve_list(self) -> list:
-        return sorted(self.clauses, key=curve_sort_key)
+        if self._curves is None:
+            self._curves = tuple(sorted(self.clauses, key=curve_sort_key))
+        return list(self._curves)
+
+    def segments_at(self, p: Point) -> tuple:
+        """The segment curves with an endpoint at ``p``, in curve order."""
+        if self._incident is None:
+            incident = {}
+            for b in self.b_curves():
+                for q in b.segment.endpoints():
+                    incident.setdefault(q, []).append(b)
+            self._incident = {q: tuple(bs) for q, bs in incident.items()}
+        return self._incident.get(p, ())
 
     def clause(self, curve: CurveId) -> int:
         if curve not in self.clauses:
@@ -137,8 +158,11 @@ class Network:
         if curve not in self.clauses:
             raise MissingCurve(f"curve {curve} not in network")
         remaining = {c: k for c, k in self.clauses.items() if c != curve}
-        return Network(self.polygon, self.kappa, remaining, self.embedding,
-                       self.r, self.adjoint_polygon)
+        net = Network(self.polygon, self.kappa, remaining, self.embedding,
+                      self.r, self.adjoint_polygon)
+        # fewer curves cannot cross worse
+        net._segments_checked = self._segments_checked
+        return net
 
 
 @dataclass(frozen=True)
@@ -420,21 +444,27 @@ def _point_strictly_inside(p: Point, lo: Point, hi: Point) -> bool:
 
 
 def check_network_invariants(net: Network) -> None:
-    """Pairwise intersections are 0/1 with no transversal interior crossings."""
-    curves = net.curve_list()
-    for i, c1 in enumerate(curves):
-        for c2 in curves[i + 1:]:
-            geometric_intersection(c1, c2)  # raises UnsupportedPair if bad
+    """Pairwise intersections are 0/1 with no transversal interior crossings.
+
+    Only two segment curves can cross badly (``geometric_intersection`` of a
+    circle is always 0 or 1), so the segment pairs are checked, once per
+    network object; ``UnsupportedPair`` is raised for a bad pair."""
+    if net._segments_checked:
+        return
+    segments = [b.segment for b in net.b_curves()]
+    for i, s in enumerate(segments):
+        for t in segments[i + 1:]:
+            _segment_intersection(s, t)
+    net._segments_checked = True
 
 
 def intersection_graph(net: Network) -> IntersectionGraph:
-    curves = net.curve_list()
-    edges = []
-    for i, c1 in enumerate(curves):
-        for c2 in curves[i + 1:]:
-            if geometric_intersection(c1, c2) == 1:
-                edges.append((c1, c2))
-    return IntersectionGraph(curves, edges)
+    """Curves and the pairs of them that meet once: each circle with the
+    segment curves ending at its point (``geometric_intersection`` is the
+    pairwise definition)."""
+    check_network_invariants(net)
+    edges = [(a, b) for a in net.a_curves() for b in net.segments_at(a.point)]
+    return IntersectionGraph(net.curve_list(), edges)
 
 
 def graph_stats(G: IntersectionGraph):
@@ -498,10 +528,9 @@ def curve_crossings(net: Network, curve: CurveId) -> list:
     if isinstance(curve, ACurve):
         v = curve.point
         incident = []
-        for other in net.b_curves():
-            if v in other.segment.endpoints():
-                w = other.segment.other(v)
-                incident.append(((w[0] - v[0], w[1] - v[1]), other))
+        for other in net.segments_at(v):
+            w = other.segment.other(v)
+            incident.append(((w[0] - v[0], w[1] - v[1]), other))
         incident.sort(key=lambda t: (_angle_key(primitive(t[0])), curve_sort_key(t[1])))
         return [Crossing(curve, b) for _, b in incident]
     interior = [p for p in curve.segment.endpoints()

@@ -10,9 +10,11 @@ characteristic, faces and complementary regions are exact combinatorial
 computations.
 
 Homology is generated by the network curves themselves: their pairing is the
-crossing-sign matrix below, and when that matrix has rank 2g and unit
-elementary divisors the curve classes span a full-rank unimodular sublattice
-of H_1, which is all of H_1.
+crossing-sign matrix below.  One symplectic reduction of that matrix splits
+the lattice of curve combinations into pairs of pairing d and a radical;
+when it finds g pairs, each of pairing 1, the matrix has rank 2g and unit
+elementary divisors, so the curve classes span a full-rank unimodular
+sublattice of H_1, which is all of H_1.
 
 Sign conventions (pinned here, used by every downstream module):
   * circles are oriented counterclockwise as seen in the front copy;
@@ -27,18 +29,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .intlinalg import (
-    det_bareiss,
-    smith_normal_form,
-    sparse_dot,
-    sparse_mat_vec,
-    standard_j,
-    support,
-    symplectic_gram_schmidt,
-)
+from .intlinalg import standard_j, support, symplectic_reduction
 from .lattice import Point, Polygon, Segment, genus
 from .network import (
     ACurve,
@@ -125,7 +119,14 @@ class RibbonSurface:
     rotation: Dict[Vertex, Tuple[Dart, ...]]
     faces: Tuple[Tuple[Dart, ...], ...]
     curve_arcs: Dict[CurveId, Tuple[Arc, ...]]
+    # derived facts, each computed on first use
     _homology: Optional["IntersectionForm"] = field(default=None, repr=False)
+    _components: Optional[Tuple[FrozenSet[CurveId], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _fills: Optional[bool] = field(
+        default=None, init=False, repr=False, compare=False)
+    _face_of_dart: Optional[Dict[Dart, int]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def euler(self) -> int:
         if not self.arcs:
@@ -133,6 +134,8 @@ class RibbonSurface:
         return len(self.vertices) - len(self.arcs) + len(self.faces)
 
     def components(self) -> List[FrozenSet[CurveId]]:
+        if self._components is not None:
+            return list(self._components)
         parent = {c: c for c in self.network.curve_list()}
 
         def find(x):
@@ -149,7 +152,8 @@ class RibbonSurface:
         groups: Dict[CurveId, set] = {}
         for c in parent:
             groups.setdefault(find(c), set()).add(c)
-        return [frozenset(g) for g in groups.values()]
+        self._components = tuple(frozenset(g) for g in groups.values())
+        return list(self._components)
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
@@ -157,8 +161,10 @@ class RibbonSurface:
     def fills(self) -> bool:
         """True iff the network cuts the polygon's closed surface into disks:
         it has arcs, it is connected, and chi = 2 - 2g."""
-        return (bool(self.arcs) and self.is_connected()
-                and self.euler() == 2 - 2 * genus(self.network.polygon))
+        if self._fills is None:
+            self._fills = (bool(self.arcs) and self.is_connected()
+                           and self.euler() == 2 - 2 * genus(self.network.polygon))
+        return self._fills
 
     def genus(self) -> int:
         if not self.is_connected():
@@ -168,11 +174,12 @@ class RibbonSurface:
         return (2 - chi) // 2
 
     def face_of_dart(self) -> Dict[Dart, int]:
-        out = {}
-        for i, walk in enumerate(self.faces):
-            for d in walk:
-                out[d] = i
-        return out
+        """The index of the face each dart runs along; the one map is shared
+        by every caller and must not be changed."""
+        if self._face_of_dart is None:
+            self._face_of_dart = {d: i for i, walk in enumerate(self.faces)
+                                  for d in walk}
+        return self._face_of_dart
 
 
 @dataclass
@@ -338,66 +345,19 @@ def _crossing_signs(curves: Sequence[CurveId],
     return M
 
 
-def _extend_echelon(echelon: Dict[int, List[int]], v) -> bool:
-    """Add v to a row echelon form over Q (leading column -> row).  Return
-    False, leaving the form unchanged, when v lies in the span of its rows."""
-    v = list(v)
-    while True:
-        c = next((i for i, x in enumerate(v) if x), None)
-        if c is None:
-            return False
-        b = echelon.get(c)
-        if b is None:
-            echelon[c] = v
-            return True
-        p, q = b[c], v[c]
-        v = [p * x - q * y for x, y in zip(v, b)]
-        d = gcd(*v)
-        if d > 1:
-            v = [x // d for x in v]
-
-
-def _radical_complement(G, kernel, V, D):
-    """Integer complement of the radical of G in Z^m.
-
-    Prefer standard unit vectors (so basis classes stay aligned with the
-    generating curves themselves) when they complete the radical to a basis
-    of Z^m; otherwise fall back to the Smith normal form columns.  A unit
-    vector is kept when it raises the rank of the radical and the vectors
-    kept so far, which one running echelon form decides.
-    """
-    m = len(G)
-    echelon: Dict[int, List[int]] = {}
-    for k in kernel:
-        _extend_echelon(echelon, k)
-    chosen: List[List[int]] = []
-    free = []
-    for j in range(m):
-        e = [1 if i == j else 0 for i in range(m)]
-        if _extend_echelon(echelon, e):
-            chosen.append(e)
-        else:
-            free.append(j)
-    # expanding the determinant of kernel + chosen along the unit rows
-    # leaves the minor of the kernel on the columns no unit vector covers
-    if len(free) == len(kernel):
-        if abs(det_bareiss([[k[j] for j in free] for k in kernel])) == 1:
-            return chosen
-    return [[V[i][j] for i in range(m)] for j in range(m) if D[j][j] != 0]
-
-
 def homology_basis(S: RibbonSurface) -> IntersectionForm:
     """Symplectic basis of the closed surface obtained by capping the faces.
 
-    The surface must be connected.  The network curves generate: a
-    symplectic basis of their crossing-sign matrix modulo its radical is
-    returned with the standard form, together with the class of every
-    curve in that basis.  The curves generate H_1 exactly when that matrix
-    has rank 2 - chi and unit elementary divisors; otherwise
-    ``SurfaceError`` is raised.
+    The surface must be connected.  The network curves generate: one
+    symplectic reduction of their crossing-sign matrix G splits Z^n into
+    pairs and the radical of G, and the pairs are returned as a symplectic
+    basis with the standard form, together with the class of every curve in
+    that basis.  The curves generate H_1 exactly when G has rank 2 - chi and
+    unit elementary divisors, that is, when the reduction finds (2 - chi)/2
+    pairs, each of pairing 1; otherwise ``SurfaceError`` is raised.
 
-    Every pairing is a dot product with a precomputed G.v, so it costs O(n)
-    for n curves.
+    The reduction carries G.v with every vector v, so every pairing, in it
+    and in the check of the form below, is a sparse dot product.
     """
     if S._homology is not None:
         return S._homology
@@ -409,51 +369,34 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
     G = _crossing_signs(curves, S.vertices)
     n = len(curves)
 
-    D, _, V = smith_normal_form([row[:] for row in G])
-    divisors = [D[j][j] for j in range(n) if D[j][j] != 0]
+    pairs, _ = symplectic_reduction([support(row) for row in G])
+    pivots = [d for d, *_ in pairs]
     chi = S.euler()
-    if len(divisors) != 2 - chi or any(abs(d) != 1 for d in divisors):
+    if 2 * len(pairs) != 2 - chi or any(d != 1 for d in pivots):
         raise SurfaceError(
             f"the curves do not generate H_1: their pairing has rank "
-            f"{len(divisors)} and largest elementary divisor "
-            f"{max(map(abs, divisors), default=0)}, the Euler number is {chi}")
-    kernel = [[V[i][j] for i in range(n)] for j in range(n) if D[j][j] == 0]
-    comp = _radical_complement(G, kernel, V, D)
-    two_g = len(comp)
-    g = two_g // 2
-    # a curve crosses only a few others, so G is sparse
-    rows = [support(row) for row in G]
+            f"{2 * len(pairs)} and largest elementary divisor "
+            f"{lcm(*pivots) if pivots else 0}, the Euler number is {chi}")
+    g = len(pairs)
+    basis = [v for _, x, _, y, _ in pairs for v in (x, y)]
+    Gb = [Gv for _, _, Gx, _, Gy in pairs for Gv in (Gx, Gy)]
 
-    sparse_comp = [support(v) for v in comp]
-    Gcomp = [sparse_mat_vec(rows, v) for v in comp]
-    Ghat = [[sparse_dot(u, Gv) for Gv in Gcomp] for u in sparse_comp]
-    sgs = symplectic_gram_schmidt(Ghat)
-    base_change = []
-    for coeffs in sgs:
-        vec = [0] * n
-        for c, basis_vec in zip(coeffs, sparse_comp):
-            for i, x in basis_vec:
-                vec[i] += c * x
-        base_change.append(tuple(vec))
-
-    Gb = [sparse_mat_vec(rows, b) for b in base_change]
     J = standard_j(g)
-    for i, b in enumerate(base_change):
-        u = support(b)
-        for j in range(two_g):
-            assert sparse_dot(u, Gb[j]) == J[i][j]
+    for i, b in enumerate(basis):
+        for j in range(2 * g):
+            assert sum(c * Gb[j].get(k, 0) for k, c in b.items()) == J[i][j]
 
     # the class a of curve c solves a.J = p with p_k = <c, b_k> = (G b_k)[c],
     # so a = -p.J; for the interleaved J and p indexed from 1 that is
     # (p_2, -p_1, p_4, -p_3, ...)
-    classes = {c: tuple(x for k in range(g)
-                        for x in (Gb[2 * k + 1][i], -Gb[2 * k][i]))
+    classes = {c: tuple(v for _, _, Gx, _, Gy in pairs
+                        for v in (Gy.get(i, 0), -Gx.get(i, 0)))
                for i, c in enumerate(curves)}
 
     form = IntersectionForm(
         genus=g,
         matrix=tuple(tuple(row) for row in J),
-        base_change=tuple(base_change),
+        base_change=tuple(tuple(b.get(k, 0) for k in range(n)) for b in basis),
         chords=curves,
         chord_gram=tuple(tuple(row) for row in G),
         classes=classes,

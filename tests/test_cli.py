@@ -50,6 +50,19 @@ def test_analyze_degenerate_is_still_a_summary(tmp_path, capsys):
     assert data["genus"] == 1 and data["modulus"] is None
 
 
+# an inner-hull corner at (1, 7) spans a cone of determinant 2
+NO_NORMAL_FORM = {"vertices": [[0, 8], [3, 3], [7, 4], [7, 8]]}
+
+
+def test_analyze_without_unimodular_normal_form(tmp_path, capsys):
+    path = _write(tmp_path, "corner.json", NO_NORMAL_FORM)
+    assert main(["analyze", "--input", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["inner_hull"] == "polygon" and data["smooth"] is False
+    assert data["genus"] == 20 and data["modulus"] == 1
+    assert data["normal_form"] is None
+
+
 # --- exit code 2: invalid input ---------------------------------------------------
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -80,6 +93,14 @@ def test_degenerate_adjoint_exits_2_where_required(tmp_path, capsys):
     assert main(["network", "--input", path]) == 2
     assert main(["render", "--input", path]) == 2
     capsys.readouterr()
+
+
+def test_verify_without_unimodular_normal_form_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "corner.json", NO_NORMAL_FORM)
+    assert main(["verify", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not unimodular" in captured.err
 
 
 def test_unknown_flags_and_commands_rejected(poly6):

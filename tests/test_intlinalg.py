@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from vanishingcycles.intlinalg import (
     solve_integer,
     integer_row_echelon,
     ext_gcd,
+    support,
     symplectic_gram_schmidt,
+    symplectic_reduction,
     standard_j,
     mat_mul,
     mat_vec,
@@ -48,6 +52,43 @@ def test_ext_gcd():
         g, x, y = ext_gcd(a, b)
         assert a * x + b * y == g
         assert g >= 0
+
+
+def recursive_ext_gcd(a, b):
+    # the recursive form the library used to have; its coefficients are the
+    # ones wedge.lemma_next_closure was written against
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = recursive_ext_gcd(b, a % b)
+    return (g, y, x - (a // b) * y)
+
+
+def test_ext_gcd_matches_the_recursive_form():
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            assert ext_gcd(a, b) == recursive_ext_gcd(a, b), (a, b)
+    rng = random.Random(29)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # the oracle recurses once per Euclid step
+    try:
+        for _ in range(200):
+            a = rng.getrandbits(rng.randint(1, 2000)) * rng.choice((1, -1))
+            b = rng.getrandbits(rng.randint(1, 2000)) * rng.choice((1, -1))
+            assert ext_gcd(a, b) == recursive_ext_gcd(a, b)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_ext_gcd_of_long_euclid_chains():
+    # consecutive Fibonacci numbers take the most Euclid steps for their
+    # size: 1200 here, beyond the interpreter's default recursion limit
+    f = [0, 1]
+    while len(f) < 1202:
+        f.append(f[-1] + f[-2])
+    a, b = f[1201], f[1200]
+    assert a.bit_length() > 800
+    g, x, y = ext_gcd(a, b)
+    assert g == 1 and x * a + y * b == 1
 
 
 def test_snf_transforms_and_divisibility():
@@ -203,3 +244,65 @@ def test_rank_mod2():
     assert rank_mod2([[2, 4], [6, 8]], 2) == 0
     assert rank_mod2([[1, 1], [1, 1]], 2) == 1
     assert rank_mod2([], 3) == 0
+
+
+# --- the symplectic reduction --------------------------------------------------
+
+def reduce_dense(m):
+    pairs, radical = symplectic_reduction([support(row) for row in m])
+    n = len(m)
+    dense = lambda v: [v.get(j, 0) for j in range(n)]
+    return ([(d, dense(x), dense(y)) for d, x, _, y, _ in pairs],
+            [dense(v) for v, _ in radical])
+
+
+def test_reduction_finds_unit_pair_behind_an_even_first_vector():
+    # e1 = r + 2 e3 with r = (1, 0, -2) in the radical pairs evenly with
+    # everything, yet the form has rank 2 with unit divisors
+    m = [[0, 2, 0], [-2, 0, -1], [0, 1, 0]]
+    pairs, radical = reduce_dense(m)
+    assert [d for d, _, _ in pairs] == [1]
+    assert len(radical) == 1 and mat_vec(m, radical[0]) == [0, 0, 0]
+    (_, x, y), = pairs
+    assert mat_vec([x], mat_vec(m, y)) == [1]
+
+
+def test_reduction_keeps_a_proved_non_unit_pivot():
+    pairs, radical = reduce_dense([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])
+    assert [d for d, _, _ in pairs] == [2]
+    assert radical == [[0, 0, 1]]
+
+
+@st.composite
+def antisymmetric_matrices(draw):
+    n = draw(st.integers(0, 7))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = draw(st.integers(-2, 2))
+            m[j][i] = -m[i][j]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(antisymmetric_matrices())
+def test_reduction_agrees_with_smith_form(m):
+    n = len(m)
+    pairs, radical = reduce_dense(m)
+    divisors = [abs(d) for d in elementary_divisors(m)] if n else []
+    pivots = [d for d, _, _ in pairs]
+    # accepted (every pivot 1) exactly when the Smith form has unit divisors
+    assert all(d == 1 for d in pivots) == all(d == 1 for d in divisors)
+    assert 2 * len(pairs) == len(divisors)
+    assert (lcm(*pivots) if pivots else 0) == max(divisors, default=0)
+    # the pairs and the radical are a basis of Z^n in which m is
+    # d_1 J_1 + ... + 0
+    basis = [v for _, x, y in pairs for v in (x, y)] + radical
+    assert len(basis) == n
+    if n:
+        assert abs(det_bareiss(basis)) == 1
+    expect = [[0] * n for _ in range(n)]
+    for k, d in enumerate(pivots):
+        expect[2 * k][2 * k + 1], expect[2 * k + 1][2 * k] = d, -d
+    b_t = [list(col) for col in zip(*basis)]
+    assert (mat_mul(mat_mul(basis, m), b_t) if n else []) == expect

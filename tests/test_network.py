@@ -196,6 +196,25 @@ def test_explicit_anchor_matches_canonical_for_symmetric_polygon():
     assert canon.r == anchored.r
 
 
+@pytest.mark.parametrize("name", ["triangle4", "triangle6", "square4",
+                                  "triangle10", "nprime6"])
+def test_intersection_graph_matches_pairwise_intersections(name):
+    # the edges read off the incidence map are exactly the pairs that
+    # geometric_intersection counts as meeting once
+    if name == "nprime6":
+        net = subnetwork_nprime(build_network(TRIANGLE6))
+    else:
+        net = build_network({"triangle4": TRIANGLE4, "triangle6": TRIANGLE6,
+                             "square4": SQUARE4,
+                             "triangle10": Polygon(((0, 0), (10, 0), (0, 10)))}[name])
+    curves = net.curve_list()
+    pairs = [(c1, c2) for i, c1 in enumerate(curves) for c2 in curves[i + 1:]
+             if geometric_intersection(c1, c2) == 1]
+    G = intersection_graph(net)
+    assert G.vertices == curves
+    assert G.edges == pairs
+
+
 # --- other base polygons -----------------------------------------------------
 
 def test_square_counts_and_directions():
@@ -261,6 +280,8 @@ def test_network_invariant_checker_rejects_crossing_segments():
     )
     with pytest.raises(UnsupportedPair):
         check_network_invariants(bad)
+    with pytest.raises(UnsupportedPair):
+        intersection_graph(bad)
 
 
 def test_valid_b_segment():

@@ -3,8 +3,12 @@
 import json
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
+
+from vanishingcycles import intlinalg, network, surface
 
 from vanishingcycles.lattice import (
     Polygon,
@@ -244,6 +248,51 @@ def test_side10_triangle_classifies_odd():
     report = check_networkgenset(Polygon(((0, 0), (10, 0), (0, 10))))
     assert (report.g, report.r) == (36, 7)
     assert report.classification == ODD_VERDICT
+
+
+def count_calls(monkeypatch, original, record=lambda *args: True):
+    """Replace ``original`` in every library namespace that binds it by a
+    wrapper that keeps the arguments of each call for which ``record`` holds
+    (``record`` sees the arguments before the call)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        if record(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "vanishingcycles" or name.startswith("vanishingcycles."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_side8_verdict_computes_each_fact_once(monkeypatch):
+    # counts, not times: a recomputation reintroduced anywhere on the
+    # verdict path changes one of them
+    smith = count_calls(monkeypatch, intlinalg.smith_normal_form)
+    inflations = count_calls(monkeypatch, surface.inflate)
+    segment_passes = count_calls(monkeypatch, network.check_network_invariants,
+                                 lambda net: not net._segments_checked)
+    scan = Polygon._scan
+    interior_scans = Counter()
+    scanned = []  # keeps each polygon alive, so that no id is reused
+
+    def counted_scan(self, strict):
+        if strict:
+            scanned.append(self)
+            interior_scans[id(self)] += 1
+        return scan(self, strict)
+
+    monkeypatch.setattr(Polygon, "_scan", counted_scan)
+    report = check_networkgenset(Polygon(((0, 0), (8, 0), (0, 8))))
+    assert report.classification == ODD_VERDICT
+    assert len(smith) == 0
+    assert len(inflations) == 2
+    assert len(segment_passes) == 2
+    assert scanned and max(interior_scans.values()) == 1
 
 
 # --- plane-curve and product corpus ---------------------------------------------
