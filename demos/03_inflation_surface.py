@@ -1,10 +1,9 @@
 """Surface layer: the doubled surface, its faces, and the symplectic form."""
 
 from vanishingcycles.lattice import Polygon, genus
-from vanishingcycles.network import ACurve, BCurve, build_network
+from vanishingcycles.network import ACurve, build_network
 from vanishingcycles.surface import (
     curve_class,
-    euler_and_faces,
     homology_basis,
     inflate,
     is_filling,
@@ -14,8 +13,7 @@ P = Polygon(((0, 0), (6, 0), (0, 6)))
 net = build_network(P)
 S = inflate(P, net)
 
-chi, faces = euler_and_faces(S)
-print(f"ribbon surface: Euler characteristic {chi}, {len(faces)} faces, "
+print(f"ribbon surface: Euler characteristic {S.euler()}, {len(S.faces)} faces, "
       f"genus {S.genus()} (lattice genus {genus(P)})")
 print(f"network fills the surface: {is_filling(P, net)}")
 

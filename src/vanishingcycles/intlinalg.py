@@ -1,6 +1,5 @@
-"""Exact integer linear algebra: determinants, Smith normal form, integer
-solving, the symplectic reduction of alternating forms, and small GF(2)
-helpers.
+"""Exact integer linear algebra: Smith normal form, extended gcd, the
+symplectic reduction of alternating forms, and GF(2) solving.
 
 All routines work on lists of lists of Python ints so there is no precision
 ceiling.  numpy is deliberately not used here; callers that want numpy convert
@@ -9,61 +8,14 @@ at the boundary.
 
 from __future__ import annotations
 
-from math import gcd
-
 
 def eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
-
-
-def mat_vec(a, v):
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
-
-
 def support(v) -> list[tuple[int, int]]:
     """The nonzero entries (j, v_j) of a vector."""
     return [(j, x) for j, x in enumerate(v) if x]
-
-
-def det_bareiss(mat) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    assert all(len(row) == n for row in a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(mat):
@@ -152,51 +104,8 @@ def elementary_divisors(mat) -> list[int]:
     return out
 
 
-def solve_integer(mat, rhs):
-    """One integer solution x of mat @ x == rhs, or None."""
-    D, U, V = smith_normal_form(mat)
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    b = mat_vec(U, list(rhs))
-    z = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        if d:
-            if b[i] % d:
-                return None
-            z[i] = b[i] // d
-        elif b[i]:
-            return None
-    return mat_vec(V, z)
-
-
-def integer_row_echelon(rows, ncols):
-    """Reduce the given rows by unimodular row operations to a basis of the
-    lattice they span.  Returns the basis rows (pivots left to right)."""
-    basis: dict[int, list[int]] = {}
-    for row in rows:
-        r = list(map(int, row))
-        assert len(r) == ncols
-        c = 0
-        while c < ncols:
-            if r[c] == 0:
-                c += 1
-                continue
-            if c not in basis:
-                basis[c] = r
-                break
-            b = basis[c]
-            # replace (b, r) by (gcd combo, reduced) -- unimodular on the pair
-            g, x, y = _ext_gcd(b[c], r[c])
-            pb, pr = b[c] // g, r[c] // g
-            nb = [x * u + y * v for u, v in zip(b, r)]
-            nr = [pb * v - pr * u for u, v in zip(b, r)]
-            basis[c] = nb
-            r = nr
-    return [basis[c] for c in sorted(basis)]
-
-
-def _ext_gcd(a: int, b: int):
+def ext_gcd(a: int, b: int):
+    """g, x, y with x*a + y*b == g == gcd(a, b) >= 0."""
     # Euclid's algorithm run forward: (a, b) = (x0, y0).(a0, b0) and
     # (x1, y1).(a0, b0) throughout, which gives the coefficients the
     # recursive back-substitution gives, in constant stack depth
@@ -208,11 +117,6 @@ def _ext_gcd(a: int, b: int):
     if a < 0:
         return (-a, -x0, -y0)
     return (a, x0, y0)
-
-
-def ext_gcd(a: int, b: int):
-    """g, x, y with x*a + y*b == g == gcd(a, b) >= 0."""
-    return _ext_gcd(a, b)
 
 
 def _pairing(u: dict, Mw: dict) -> int:
@@ -341,25 +245,6 @@ def standard_j(g: int) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # GF(2)
-
-def rank_mod2(rows, ncols) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        r = 0
-        for j in range(ncols):
-            if row[j] & 1:
-                r |= 1 << j
-        while r:
-            low = (r & -r).bit_length() - 1
-            if low in pivots:
-                r ^= pivots[low]
-            else:
-                pivots[low] = r
-                rank += 1
-                break
-    return rank
-
 
 def solve_mod2(rows, rhs, ncols):
     """One GF(2) solution x of rows @ x == rhs, or None if inconsistent.

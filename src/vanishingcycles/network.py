@@ -6,8 +6,7 @@ surface: one circle per interior lattice point, and one curve per eligible
 primitive lattice segment.  This module builds the standard network of those
 curves anchored at a chosen inner-hull corner, together with its intersection
 graph, the distinguished subnetwork obtained by deleting the circle at (0,1),
-the chain configuration used by the disk-bundle relation checks, and the
-spanning-tree/leftover-edge correspondence for arboreal networks.
+and the chain configuration used by the disk-bundle relation checks.
 
 All coordinates are normalized so that the anchor corner sits at the origin
 with its two inner-hull edges along the positive axes.
@@ -59,10 +58,6 @@ class MissingCurve(NetworkError):
 
 class ConfigurationUnavailable(NetworkError):
     """The chain configuration cannot be assembled from this network."""
-
-
-class NotArboreal(NetworkError):
-    """The operation requires the intersection graph to be a tree."""
 
 
 @dataclass(frozen=True)
@@ -222,9 +217,6 @@ class Arc:
 class IntersectionGraph:
     vertices: list
     edges: list
-
-    def degree(self, v: CurveId) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 def _same_edge(P: Polygon, p: Point, q: Point) -> bool:
@@ -403,44 +395,20 @@ def geometric_intersection(c1: CurveId, c2: CurveId) -> int:
 
 
 def _segment_intersection(s1: Segment, s2: Segment) -> int:
-    """0 when the segments meet at most in lattice points; otherwise the
-    crossing is not representable at this level."""
+    """0 unless the segments cross at a point inside both, which is not
+    representable at this level.  Distinct segments are primitive, so they
+    share no subsegment and neither holds a lattice point of the other
+    inside it: every other meeting is a common endpoint."""
     (a, b), (c, d) = s1.endpoints(), s2.endpoints()
-    shared = {a, b} & {c, d}
-    if shared:
-        return 0
 
     def orient(p, q, t):
         return (q[0] - p[0]) * (t[1] - p[1]) - (q[1] - p[1]) * (t[0] - p[0])
 
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    if o1 == o2 == 0:
-        # collinear: distinct primitive segments overlap at most in a point,
-        # and any such point is a shared endpoint (handled above)
-        return 0
-    if (o1 * o2 < 0 and o3 * o4 < 0):
+    if (orient(a, b, c) * orient(a, b, d) < 0
+            and orient(c, d, a) * orient(c, d, b) < 0):
         raise UnsupportedPair(
             f"segments {s1} and {s2} cross at a non-lattice point")
-    if (o1 == 0 or o2 == 0 or o3 == 0 or o4 == 0):
-        # an endpoint of one lies on the other; primitive segments have no
-        # interior lattice points, so check whether the touch point is an
-        # actual incidence
-        for p, seg in ((c, s1), (d, s1), (a, s2), (b, s2)):
-            lo, hi = seg.endpoints()
-            if _point_strictly_inside(p, lo, hi):
-                raise UnsupportedPair(
-                    f"lattice point {p} lies inside primitive segment {seg}")
-        return 0
     return 0
-
-
-def _point_strictly_inside(p: Point, lo: Point, hi: Point) -> bool:
-    if (hi[0] - lo[0]) * (p[1] - lo[1]) != (hi[1] - lo[1]) * (p[0] - lo[0]):
-        return False
-    t = (p[0] - lo[0]) * (hi[0] - lo[0]) + (p[1] - lo[1]) * (hi[1] - lo[1])
-    n = (hi[0] - lo[0]) ** 2 + (hi[1] - lo[1]) ** 2
-    return 0 < t < n
 
 
 def check_network_invariants(net: Network) -> None:
@@ -467,6 +435,25 @@ def intersection_graph(net: Network) -> IntersectionGraph:
     return IntersectionGraph(net.curve_list(), edges)
 
 
+def _find(parent, x):
+    """The root of ``x`` in a union-find forest: ``parent`` maps each element
+    to its parent, as a dict or as a list indexed by element; paths are
+    halved on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y) -> bool:
+    """Merge the classes of ``x`` and ``y``; False if they were one class."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return False
+    parent[rx] = ry
+    return True
+
+
 def graph_stats(G: IntersectionGraph):
     """(connected, first Betti number, is_tree); an empty graph is not
     connected by convention."""
@@ -474,18 +461,9 @@ def graph_stats(G: IntersectionGraph):
     if V == 0:
         return (False, 0, False)
     parent = {v: v for v in G.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in G.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    components = len({find(v) for v in G.vertices})
+        _union(parent, a, b)
+    components = len({_find(parent, v) for v in G.vertices})
     betti = len(G.edges) - V + components
     connected = components == 1
     return (connected, betti, connected and betti == 0)
@@ -546,88 +524,6 @@ def curve_arcs(net: Network, curve: CurveId) -> list:
     k = len(crossings)
     return [Arc(curve, i, crossings[i], crossings[(i + 1) % k])
             for i in range(k)]
-
-
-def spanning_tree_correspondence(net: Network) -> dict:
-    """For an arboreal network, the bijection curve -> leftover arc.
-
-    Rooting the (tree) intersection graph, every curve surrenders exactly
-    one arc of its own circle: the arc ending at the crossing with its
-    parent (the root surrenders the arc ending at its smallest crossing).
-    The surrendered arcs are the non-tree edges of the spanned one-complex;
-    the kept arcs form a spanning tree, which is verified before returning.
-    """
-    G = intersection_graph(net)
-    connected, _, is_tree = graph_stats(G)
-    if not is_tree:
-        raise NotArboreal("intersection graph is not a tree")
-
-    adj = {v: [] for v in G.vertices}
-    for x, y in G.edges:
-        adj[x].append(y)
-        adj[y].append(x)
-
-    root = G.vertices[0]
-    parent_crossing = {}
-    order = [root]
-    seen = {root}
-    while order:
-        cur = order.pop()
-        for nxt in sorted(adj[cur], key=curve_sort_key):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            a, b = (cur, nxt) if isinstance(cur, ACurve) else (nxt, cur)
-            parent_crossing[nxt] = Crossing(a, b)
-            order.append(nxt)
-
-    mapping = {}
-    kept = []
-    for curve in G.vertices:
-        arcs = curve_arcs(net, curve)
-        if arcs[0].start is None:
-            # isolated curve: single-vertex complex, whole circle left over
-            mapping[curve] = arcs[0]
-            continue
-        if curve in parent_crossing:
-            target = parent_crossing[curve]
-        else:
-            target = min((a.end for a in arcs), key=crossing_sort_key)
-        dropped = [a for a in arcs if a.end == target]
-        if len(dropped) != 1:
-            raise NetworkError(f"no unique arc of {curve} ends at {target}")
-        mapping[curve] = dropped[0]
-        kept.extend(a for a in arcs if a != dropped[0])
-
-    _verify_spanning_tree(net, G, kept)
-    return mapping
-
-
-def _verify_spanning_tree(net: Network, G: IntersectionGraph, kept: list) -> None:
-    crossings = set()
-    for curve in G.vertices:
-        crossings.update(curve_crossings(net, curve))
-    if not crossings:
-        if kept:
-            raise NetworkError("kept arcs without crossings")
-        return
-    if len(kept) != len(crossings) - 1:
-        raise NetworkError("kept arcs do not count as a spanning tree")
-    parent = {c: c for c in crossings}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for arc in kept:
-        ra, rb = find(arc.start), find(arc.end)
-        if ra == rb:
-            raise NetworkError("kept arcs contain a cycle")
-        parent[ra] = rb
-    if len({find(c) for c in crossings}) != 1:
-        raise NetworkError("kept arcs do not connect all crossings")
 
 
 def network_to_json(net: Network) -> dict:

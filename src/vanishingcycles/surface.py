@@ -26,14 +26,12 @@ Sign conventions (pinned here, used by every downstream module):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .intlinalg import standard_j, support, symplectic_reduction
-from .lattice import Point, Polygon, Segment, genus
+from .lattice import Polygon, Segment, genus
 from .network import (
     ACurve,
     Arc,
@@ -42,6 +40,8 @@ from .network import (
     CurveId,
     Network,
     NetworkError,
+    _find,
+    _union,
     check_network_invariants,
     crossing_sort_key,
     curve_arcs,
@@ -51,10 +51,6 @@ from .network import (
 
 
 class SurfaceError(ValueError):
-    pass
-
-
-class NonTransverseData(SurfaceError):
     pass
 
 
@@ -120,7 +116,8 @@ class RibbonSurface:
     faces: Tuple[Tuple[Dart, ...], ...]
     curve_arcs: Dict[CurveId, Tuple[Arc, ...]]
     # derived facts, each computed on first use
-    _homology: Optional["IntersectionForm"] = field(default=None, repr=False)
+    _homology: Optional["IntersectionForm"] = field(
+        default=None, init=False, repr=False, compare=False)
     _components: Optional[Tuple[FrozenSet[CurveId], ...]] = field(
         default=None, init=False, repr=False, compare=False)
     _fills: Optional[bool] = field(
@@ -137,21 +134,12 @@ class RibbonSurface:
         if self._components is not None:
             return list(self._components)
         parent = {c: c for c in self.network.curve_list()}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for v in self.vertices:
             if isinstance(v, Crossing):
-                ra, rb = find(v.a), find(v.b)
-                if ra != rb:
-                    parent[ra] = rb
+                _union(parent, v.a, v.b)
         groups: Dict[CurveId, set] = {}
         for c in parent:
-            groups.setdefault(find(c), set()).add(c)
+            groups.setdefault(_find(parent, c), set()).add(c)
         self._components = tuple(frozenset(g) for g in groups.values())
         return list(self._components)
 
@@ -217,19 +205,6 @@ class Region:
     internal_vertices: int
 
 
-def _overlapping_collinear(s: Segment, t: Segment) -> bool:
-    d = s.direction
-    u = (t.a[0] - s.a[0], t.a[1] - s.a[1])
-    v = (t.b[0] - s.a[0], t.b[1] - s.a[1])
-    if d[0] * u[1] - d[1] * u[0] != 0 or d[0] * v[1] - d[1] * v[0] != 0:
-        return False
-    lo, hi = 0, d[0] * d[0] + d[1] * d[1]
-    p = u[0] * d[0] + u[1] * d[1]
-    q = v[0] * d[0] + v[1] * d[1]
-    p, q = min(p, q), max(p, q)
-    return min(hi, q) > max(lo, p)
-
-
 def inflate(P: Polygon, net: Network) -> RibbonSurface:
     """Build the rotation system of the doubled surface cut out by ``net``.
 
@@ -238,13 +213,6 @@ def inflate(P: Polygon, net: Network) -> RibbonSurface:
     """
     if genus(P) != genus(net.polygon):
         raise SurfaceError("network does not belong to this polygon")
-
-    bs = [b.segment for b in net.b_curves()]
-    for i, s in enumerate(bs):
-        for t in bs[i + 1:]:
-            if _overlapping_collinear(s, t):
-                raise NonTransverseData(
-                    f"segments {s} and {t} overlap along a subsegment")
 
     arcs_by_curve: Dict[CurveId, Tuple[Arc, ...]] = {}
     for c in net.curve_list():
@@ -315,10 +283,6 @@ def _trace_faces(rotation: Dict[Vertex, Tuple[Dart, ...]]):
                 break
         faces.append(tuple(walk))
     return tuple(faces)
-
-
-def euler_and_faces(S: RibbonSurface) -> Tuple[int, List[Tuple[Dart, ...]]]:
-    return S.euler(), list(S.faces)
 
 
 def is_filling(P: Polygon, net: Network) -> bool:
@@ -429,27 +393,19 @@ def complement_regions(S: RibbonSurface, cut) -> List[Region]:
 
     fmap = S.face_of_dart()
     parent = list(range(len(S.faces)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     deleted_arcs = [a for a in S.arcs if a.curve not in cut]
     for a in deleted_arcs:
-        i, j = find(fmap[(a, 0)]), find(fmap[(a, 1)])
-        if i != j:
-            parent[i] = j
+        _union(parent, fmap[(a, 0)], fmap[(a, 1)])
 
+    root = [_find(parent, i) for i in range(len(S.faces))]
     groups: Dict[int, List[int]] = {}
-    for i in range(len(S.faces)):
-        groups.setdefault(find(i), []).append(i)
+    for i, r in enumerate(root):
+        groups.setdefault(r, []).append(i)
 
     n_arcs: Dict[int, int] = {r: 0 for r in groups}
     internal: Dict[int, set] = {r: set() for r in groups}
     for a in deleted_arcs:
-        r = find(fmap[(a, 0)])
+        r = root[fmap[(a, 0)]]
         n_arcs[r] += 1
         internal[r].add(a.curve)
     n_verts: Dict[int, int] = {r: 0 for r in groups}
@@ -461,12 +417,12 @@ def complement_regions(S: RibbonSurface, cut) -> List[Region]:
             dead = v.a not in cut and v.b not in cut
             darts = S.rotation[v]
         if dead:
-            n_verts[find(fmap[darts[0]])] += 1
+            n_verts[root[fmap[darts[0]]]] += 1
     boundary: Dict[int, set] = {r: set() for r in groups}
     for a in S.arcs:
         if a.curve in cut:
             for end in (0, 1):
-                boundary[find(fmap[(a, end)])].add(a.curve)
+                boundary[root[fmap[(a, end)]]].add(a.curve)
 
     out = []
     for r, fs in sorted(groups.items()):
@@ -479,18 +435,6 @@ def complement_regions(S: RibbonSurface, cut) -> List[Region]:
             internal_vertices=n_verts[r],
         ))
     return out
-
-
-def duplicate_pairs(S: RibbonSurface) -> List[FrozenSet[CurveId]]:
-    """Pairs of isotopic segment curves: an annular region of the surface
-    cut along all segment curves whose two boundary circles are copies of
-    two distinct curves exhibits the isotopy."""
-    bs = set(S.network.b_curves())
-    pairs = []
-    for reg in complement_regions(S, bs):
-        if reg.chi == 0 and len(reg.boundary_curves) == 2:
-            pairs.append(frozenset(reg.boundary_curves))
-    return sorted(set(pairs), key=lambda p: sorted(map(curve_sort_key, p)))
 
 
 def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
@@ -539,163 +483,3 @@ def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
     if len(annuli2) != 1 or any(r.chi not in (0, 1) for r in without_b):
         return False
     return b in annuli2[0].internal_curves
-
-
-# --- independent planar filling criterion --------------------------------------
-
-def _planar_angle_sort(p: Point, targets: List[Point]) -> List[Point]:
-    def cmp(q1, q2):
-        v1 = (q1[0] - p[0], q1[1] - p[1])
-        v2 = (q2[0] - p[0], q2[1] - p[1])
-        h1 = 0 if (v1[1] > 0 or (v1[1] == 0 and v1[0] > 0)) else 1
-        h2 = 0 if (v2[1] > 0 or (v2[1] == 0 and v2[0] > 0)) else 1
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cr = v1[0] * v2[1] - v1[1] * v2[0]
-        if cr == 0:
-            return 0
-        return -1 if cr > 0 else 1
-
-    return sorted(targets, key=functools.cmp_to_key(cmp))
-
-
-def _winding(walk: List[Point], pt: Point) -> int:
-    w = 0
-    px, py = pt
-    for a, b in zip(walk, walk[1:] + walk[:1]):
-        if a[0] <= px < b[0] or b[0] <= px < a[0]:
-            y = Fraction(a[1] * (b[0] - a[0]) + (b[1] - a[1]) * (px - a[0]),
-                         b[0] - a[0])
-            if y > py:
-                w += 1 if a[0] <= px < b[0] else -1
-    return w
-
-
-def planar_filling_oracle(P: Polygon, net: Network) -> bool:
-    """Planar re-derivation of the filling test, independent of the ribbon
-    machinery: every region of the polygon minus the segments must be simply
-    connected (no nested walls, no stray interior lattice point) and meet
-    the polygon boundary in at most one arc."""
-    if genus(P) != genus(net.polygon):
-        raise SurfaceError("network does not belong to this polygon")
-    Q = net.polygon
-    segs = [b.segment for b in net.b_curves()]
-
-    edges = set()
-    for s in segs:
-        edges.add(s.endpoints())
-    boundary_edges = set()
-    marked = set(Q.vertices)
-    for s in segs:
-        for p in s.endpoints():
-            if Q.on_boundary(p):
-                marked.add(p)
-    perimeter = []
-    verts = Q.vertices
-    for i in range(len(verts)):
-        v0, v1 = verts[i], verts[(i + 1) % len(verts)]
-        d = (v1[0] - v0[0], v1[1] - v0[1])
-        on_edge = [p for p in marked
-                   if (p[0] - v0[0]) * d[1] == (p[1] - v0[1]) * d[0]
-                   and 0 <= (p[0] - v0[0]) * d[0] + (p[1] - v0[1]) * d[1]
-                   < d[0] * d[0] + d[1] * d[1]]
-        on_edge.sort(key=lambda p: (p[0] - v0[0]) * d[0] + (p[1] - v0[1]) * d[1])
-        perimeter.extend(on_edge)
-    for a, b in zip(perimeter, perimeter[1:] + perimeter[:1]):
-        edges.add(tuple(sorted((a, b))))
-        boundary_edges.add(tuple(sorted((a, b))))
-
-    nodes = set()
-    for a, b in edges:
-        nodes.add(a)
-        nodes.add(b)
-    neighbors: Dict[Point, List[Point]] = {p: [] for p in nodes}
-    for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    rotation = {p: _planar_angle_sort(p, qs) for p, qs in neighbors.items()}
-
-    # connected components of the arrangement
-    comp: Dict[Point, int] = {}
-    cid = 0
-    for p in sorted(nodes):
-        if p in comp:
-            continue
-        stack = [p]
-        comp[p] = cid
-        while stack:
-            q = stack.pop()
-            for t in neighbors[q]:
-                if t not in comp:
-                    comp[t] = cid
-                    stack.append(t)
-        cid += 1
-
-    # face tracing: next dart after (a -> b) leaves b one step ccw after the
-    # reversed dart
-    darts = [(a, b) for a, b in edges] + [(b, a) for a, b in edges]
-    seen = set()
-    faces = []
-    for d0 in sorted(darts):
-        if d0 in seen:
-            continue
-        walk = []
-        d = d0
-        while True:
-            walk.append(d)
-            seen.add(d)
-            a, b = d
-            ring = rotation[b]
-            i = ring.index(a)
-            d = (b, ring[(i + 1) % len(ring)])
-            if d == d0:
-                break
-        faces.append(walk)
-
-    def doubled_area(walk):
-        return sum(a[0] * b[1] - b[0] * a[1] for (a, b) in walk)
-
-    by_comp: Dict[int, List[int]] = {}
-    for i, walk in enumerate(faces):
-        by_comp.setdefault(comp[walk[0][0]], []).append(i)
-    outer = {}
-    for c, fs in by_comp.items():
-        outer[c] = min(fs, key=lambda i: doubled_area(faces[i]))
-
-    # nest every component inside the smallest bounded face containing it
-    children: Dict[int, int] = {}
-    for c, fs in by_comp.items():
-        probe = min(p for p in nodes if comp[p] == c)
-        best = None
-        for c2, fs2 in by_comp.items():
-            if c2 == c:
-                continue
-            for i in fs2:
-                if i == outer[c2]:
-                    continue
-                pts = [d[0] for d in faces[i]]
-                if _winding(pts, probe) != 0:
-                    area = doubled_area(faces[i])
-                    if best is None or area < best[0]:
-                        best = (area, i)
-        if best is not None:
-            children[best[1]] = children.get(best[1], 0) + 1
-
-    interior_pts = [p for p in Q.interior_points() if p not in nodes]
-    for i, walk in enumerate(faces):
-        c = comp[walk[0][0]]
-        if i == outer[c]:
-            continue
-        if children.get(i, 0):
-            return False
-        pts = [d[0] for d in walk]
-        if any(_winding(pts, p) != 0 for p in interior_pts):
-            return False
-        flags = [tuple(sorted(d)) in boundary_edges for d in walk]
-        runs = sum(1 for j, f in enumerate(flags)
-                   if f and not flags[j - 1])
-        if all(flags):
-            runs = 1
-        if runs > 1:
-            return False
-    return True

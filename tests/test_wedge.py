@@ -2,6 +2,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from oracles import solve_integer
 
 from vanishingcycles.intlinalg import elementary_divisors
 from vanishingcycles.spin import QuadraticFormZ2
@@ -13,6 +14,7 @@ from vanishingcycles.wedge import (
     QuotientW3,
     Wedge3,
     WedgeError,
+    _LatticeBasis,
     closure_transformations,
     contraction,
     contraction_section,
@@ -247,6 +249,29 @@ def test_generators_input_validation():
 
 
 # --- the span closure -------------------------------------------------------------
+
+def test_lattice_basis_spans_the_inserted_rows():
+    # the echelon lemma_next_closure grows spans exactly the rows put in,
+    # and a row already in the lattice does not change it
+    rng = random.Random(23)
+    for _ in range(40):
+        rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(5)]
+        lattice = _LatticeBasis(4)
+        for r in rows:
+            lattice.insert(r)
+        basis = lattice.basis_rows()
+        if not basis:
+            assert not any(any(r) for r in rows)
+            continue
+        bt = [list(col) for col in zip(*basis)]
+        rt = [list(col) for col in zip(*rows)]
+        for r in rows:
+            assert solve_integer(bt, r) is not None
+        for b in basis:
+            assert solve_integer(rt, b) is not None
+            assert not lattice.insert(b)
+        assert lattice.basis_rows() == basis
+
 
 @pytest.mark.parametrize("parity", [0, 1])
 def test_closure_reaches_the_full_cube(parity):
