@@ -467,14 +467,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ("relations", _cmd_relations, "run the exact twist-relation suite"),
         ("orbits", _cmd_orbits, "brute-force quadratic-form enumeration"),
     )
+    # each command registers only the options it reads
     for name, func, help_text in specs:
         cmd = sub.add_parser(name, help=help_text, epilog=_COLOR_DOC)
-        cmd.add_argument("--input", help="path to polygon JSON")
+        if name not in ("relations", "orbits"):
+            cmd.add_argument("--input", help="path to polygon JSON")
         cmd.add_argument("--out", help="write output to this path")
-        cmd.add_argument("--format", choices=("json", "text"),
-                         default="json", help="output format")
-        cmd.add_argument("--seed", type=int, default=2026,
-                         help="seed for randomized checks")
+        if name != "render":
+            cmd.add_argument("--format", choices=("json", "text"),
+                             default="json", help="output format")
+        if name == "relations":
+            cmd.add_argument("--seed", type=int, default=2026,
+                             help="seed for randomized checks")
         cmd.set_defaults(func=func)
     return parser
 

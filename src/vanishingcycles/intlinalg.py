@@ -4,6 +4,10 @@ symplectic reduction of alternating forms, and GF(2) solving.
 All routines work on lists of lists of Python ints so there is no precision
 ceiling.  numpy is deliberately not used here; callers that want numpy convert
 at the boundary.
+
+The program no longer calls ``smith_normal_form``, ``elementary_divisors`` or
+``symplectic_gram_schmidt``; they stay as oracles of the tests, and because
+``bench/tracer.py`` binds them by name.
 """
 
 from __future__ import annotations

@@ -163,9 +163,6 @@ class Polygon:
             object.__setattr__(self, "_interior", tuple(self._scan(strict=True)))
         return list(self._interior)
 
-    def translate(self, t: Point) -> "Polygon":
-        return Polygon(tuple((x + t[0], y + t[1]) for x, y in self.vertices))
-
 
 def convex_hull(points) -> Polygon:
     """Convex hull of a finite set of lattice points (monotone chain).
@@ -270,10 +267,6 @@ class UnimodularMap:
         (a, b), (c, d) = self.lin
         if a * d - b * c not in (1, -1):
             raise LatticeError("linear part not unimodular")
-
-    def det(self) -> int:
-        (a, b), (c, d) = self.lin
-        return a * d - b * c
 
     def apply(self, p: Point) -> Point:
         (a, b), (c, d) = self.lin

@@ -15,7 +15,7 @@ with its two inner-hull edges along the positive axes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .lattice import (
@@ -153,8 +153,7 @@ class Network:
         if curve not in self.clauses:
             raise MissingCurve(f"curve {curve} not in network")
         remaining = {c: k for c, k in self.clauses.items() if c != curve}
-        net = Network(self.polygon, self.kappa, remaining, self.embedding,
-                      self.r, self.adjoint_polygon)
+        net = replace(self, clauses=remaining)
         # fewer curves cannot cross worse
         net._segments_checked = self._segments_checked
         return net

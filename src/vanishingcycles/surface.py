@@ -26,7 +26,7 @@ Sign conventions (pinned here, used by every downstream module):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -455,14 +455,7 @@ def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
         if nprime.polygon.contains(p, strict=True):
             clauses.setdefault(ACurve(p), 0)
     try:
-        completed = Network(
-            polygon=nprime.polygon,
-            kappa=nprime.kappa,
-            clauses=clauses,
-            embedding=nprime.embedding,
-            r=nprime.r,
-            adjoint_polygon=nprime.adjoint_polygon,
-        )
+        completed = replace(nprime, clauses=clauses)
         check_network_invariants(completed)
     except NetworkError:
         return False

@@ -310,6 +310,30 @@ def _phi_word_check(word: Sequence[MarkedCurve], repeat: int,
     return True
 
 
+def _relation_holds(word: Sequence[MarkedCurve],
+                    boundary: Sequence[MarkedCurve], exponent: int,
+                    multitwist: Sequence[MarkedCurve],
+                    tests: Optional[Sequence[MarkedCurve]],
+                    error: type, disjoint: bool = False) -> bool:
+    """Whether the word to the ``exponent`` equals the multitwist, on
+    matrices and on the test curves (by default the word and the boundary).
+    The boundary must live under the word's structure, sum to zero and, if
+    ``disjoint``, miss every curve of the word; else ``error`` is raised."""
+    dim, r = len(word[0].h), word[0].r
+    for b in boundary:
+        if len(b.h) != dim or b.r != r:
+            raise error("boundary curves live under different structures")
+        if disjoint and any(_pairing(b.h, c.h) for c in word):
+            raise error("boundary curves are disjoint from the configuration")
+    if any(sum(col) for col in zip(*(b.h for b in boundary))):
+        raise error("boundary classes must sum to zero")
+    if word_matrix(word) ** exponent != word_matrix(multitwist):
+        return False
+    if tests is None:
+        tests = list(word) + list(boundary)
+    return _phi_word_check(word, exponent, multitwist, tests)
+
+
 def verify_chain(chain: Sequence[MarkedCurve],
                  boundary: Sequence[MarkedCurve],
                  tests: Optional[Sequence[MarkedCurve]] = None) -> bool:
@@ -329,21 +353,9 @@ def verify_chain(chain: Sequence[MarkedCurve],
         raise NotAChain(
             f"a chain of length {n} bounds {expected} curve(s),"
             f" got {len(boundary)}")
-    dim = len(chain[0].h)
-    if any(len(b.h) != dim or b.r != chain[0].r for b in boundary):
-        raise NotAChain("boundary curves live under different structures")
-    total = [sum(col) for col in zip(*(b.h for b in boundary))]
-    if any(total):
-        raise NotAChain("boundary classes must sum to zero")
     exponent = n + 1 if n % 2 else 2 * n + 2
-    word = word_matrix(chain) ** exponent
-    target = word_matrix(boundary) if any(any(b.h) for b in boundary) \
-        else SpMatrix.identity(dim)
-    if word != target:
-        return False
-    if tests is None:
-        tests = list(chain) + list(boundary)
-    return _phi_word_check(chain, exponent, boundary, tests)
+    return _relation_holds(chain, boundary, exponent, boundary, tests,
+                           NotAChain)
 
 
 def _check_dn_pattern(config: Sequence[MarkedCurve]) -> None:
@@ -386,29 +398,14 @@ def verify_dn(config: Sequence[MarkedCurve],
     if len(boundary) != (2 if n % 2 else 3):
         raise NotDnPattern("boundary must list the fork-side curve followed"
                            " by the far boundary curve(s)")
-    dim = len(config[0].h)
-    for b in boundary:
-        if len(b.h) != dim or b.r != config[0].r:
-            raise NotDnPattern("boundary curves live under different"
-                               " structures")
-        for c in config:
-            if _pairing(b.h, c.h) != 0:
-                raise NotDnPattern("boundary curves are disjoint from the"
-                                   " configuration")
-    total = [sum(col) for col in zip(*(b.h for b in boundary))]
-    if any(total):
-        raise NotDnPattern("boundary classes must sum to zero")
     if n % 2:
         exponent = 2 * n - 2
         multitwist = [boundary[0]] * (n - 2) + [boundary[1]]
     else:
         exponent = n - 1
         multitwist = [boundary[0]] * ((n - 2) // 2) + list(boundary[1:])
-    if word_matrix(config) ** exponent != word_matrix(multitwist):
-        return False
-    if tests is None:
-        tests = list(config) + list(boundary)
-    return _phi_word_check(config, exponent, multitwist, tests)
+    return _relation_holds(config, boundary, exponent, multitwist, tests,
+                           NotDnPattern, disjoint=True)
 
 
 def nested_twist_power_check(config: Sequence[MarkedCurve],
@@ -640,9 +637,10 @@ def _form_orbit(start: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
     return seen
 
 
-def anisotropic_closure_order(g: int, q: QuadraticFormZ2) -> int:
-    """Order of the subgroup of Sp(2g, Z/2) generated by the transvections
-    about anisotropic vectors of the form."""
+def _anisotropic_generators(g: int, q: QuadraticFormZ2
+                            ) -> Tuple[List[int], List[int]]:
+    """The value table of a genus-g form and the transvections about its
+    anisotropic vectors, for the g <= 3 that enumeration allows."""
     if g < 1:
         raise SympError("genus must be positive")
     if g > 3:
@@ -651,10 +649,14 @@ def anisotropic_closure_order(g: int, q: QuadraticFormZ2) -> int:
     if len(q.values) != n:
         raise SympError("form does not match the requested genus")
     tab = _value_table(q.values)
-    gens = [_transvection_bits(v, n) for v in range(1, 1 << n) if tab[v] == 1]
-    if not gens:
-        return 1
-    return len(_closure_bits(gens, n))
+    return tab, [_transvection_bits(v, n)
+                 for v in range(1, 1 << n) if tab[v] == 1]
+
+
+def anisotropic_closure_order(g: int, q: QuadraticFormZ2) -> int:
+    """Order of the subgroup of Sp(2g, Z/2) generated by the transvections
+    about anisotropic vectors of the form."""
+    return len(_closure_bits(_anisotropic_generators(g, q)[1], 2 * g))
 
 
 def sp_q_stabilizer_bruteforce(g: int, q: QuadraticFormZ2
@@ -670,16 +672,8 @@ def sp_q_stabilizer_bruteforce(g: int, q: QuadraticFormZ2
     g <= 2 closures).  In both cases the subgroup generated by anisotropic
     transvections is enumerated by closure and compared.
     """
-    if g < 1:
-        raise SympError("genus must be positive")
-    if g > 3:
-        raise TooLarge("full enumeration is restricted to g <= 3")
+    tab, aniso_gens = _anisotropic_generators(g, q)
     n = 2 * g
-    if len(q.values) != n:
-        raise SympError("form does not match the requested genus")
-    tab = _value_table(q.values)
-    aniso_gens = [_transvection_bits(v, n)
-                  for v in range(1, 1 << n) if tab[v] == 1]
     generated = _closure_bits(aniso_gens, n)
     if g <= 2:
         everything = _closure_bits(
@@ -718,14 +712,9 @@ def quadratic_form_orbits(g: int) -> Dict[int, int]:
         orbit = _form_orbit(min(unassigned))
         orbits.append(orbit)
         unassigned -= orbit
-    def arf_of(form: Tuple[int, ...]) -> int:
-        total = 0
-        for k in range(0, n, 2):
-            total ^= form[k] & form[k + 1]
-        return total
     census: Dict[int, int] = {}
     for orbit in orbits:
-        arfs = {arf_of(f) for f in orbit}
+        arfs = {QuadraticFormZ2(f).arf() for f in orbit}
         if len(arfs) != 1:
             raise SympError("an orbit mixes Arf invariants")
         census[arfs.pop()] = len(orbit)

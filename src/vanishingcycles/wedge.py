@@ -10,7 +10,7 @@ to homology vectors with the symplectic pairing.
 Two constructive verifications live here: the generator families whose span
 is the contraction kernel, and a budgeted round closure that replays a fixed
 list of symplectic transformations on the seed triple x1^y1^x4 until the
-images span the whole exterior cube (checked by Smith normal form).
+images span the whole exterior cube (read off the echelon pivots).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .intlinalg import elementary_divisors, ext_gcd
+from .intlinalg import ext_gcd
 from .spin import _pairing
 from .symp import SpMatrix, transvection
 
@@ -447,7 +447,8 @@ def _induced_columns(mat, n: int) -> List[List[Tuple[int, int]]]:
 
 
 class _LatticeBasis:
-    """Row lattice in echelon form supporting growth detection."""
+    """Row lattice in echelon form supporting growth detection; each row
+    is keyed by its pivot column and is zero before it."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -481,9 +482,11 @@ class _LatticeBasis:
     def basis_rows(self) -> List[List[int]]:
         return [self.rows[c] for c in sorted(self.rows)]
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    def is_full(self) -> bool:
+        """Whether the rows span all of Z^ncols: a triangular basis does
+        exactly when it has full rank and every pivot is a unit."""
+        return (len(self.rows) == self.ncols
+                and all(abs(row[c]) == 1 for c, row in self.rows.items()))
 
 
 def lemma_next_closure(g: int, parity: int, max_rounds: int = 12) -> bool:
@@ -492,8 +495,8 @@ def lemma_next_closure(g: int, parity: int, max_rounds: int = 12) -> bool:
 
     Each round applies every transformation to every current lattice basis
     row and inserts the images.  Rounds stop when the lattice stabilizes;
-    the result is whether the stable lattice is the full cube (full rank
-    with unit elementary divisors, by Smith normal form).  If the lattice is
+    the result is whether the stable lattice is the full cube, read off the
+    echelon pivots (full rank, every pivot a unit).  If the lattice is
     still growing after ``max_rounds`` rounds a BudgetExceeded error is
     raised; with ``max_rounds=0`` the seed alone is evaluated.
     """
@@ -535,6 +538,4 @@ def lemma_next_closure(g: int, parity: int, max_rounds: int = 12) -> bool:
                for image in round_images(lattice.basis_rows())):
             raise BudgetExceeded(
                 f"lattice still growing after {max_rounds} rounds")
-    if lattice.rank != dim:
-        return False
-    return all(d == 1 for d in elementary_divisors(lattice.basis_rows()))
+    return lattice.is_full()

@@ -110,6 +110,15 @@ def test_unknown_flags_and_commands_rejected(poly6):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    # each command registers only the options it reads; render always
+    # writes SVG
+    for argv in (["render", "--input", poly6, "--format", "json"],
+                 ["relations", "--input", poly6],
+                 ["orbits", "--input", poly6],
+                 ["verify", "--input", poly6, "--seed", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 # --- verify ---------------------------------------------------------------------

@@ -220,6 +220,27 @@ def test_solve_mod2_against_brute_force():
     assert seen[True] > 20 and seen[False] > 20
 
 
+def test_solve_mod2_against_ranks():
+    # sizes brute force cannot reach: a system is solvable exactly when the
+    # right-hand side does not raise the GF(2) rank, and a returned x solves
+    # every row
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randint(1, 24)
+        rows = random_matrix(rng, rng.randint(1, 30), n, -3, 3)
+        rhs = [rng.randint(-3, 3) for _ in rows]
+        augmented = [row + [b] for row, b in zip(rows, rhs)]
+        solvable = rank_mod2(rows, n) == rank_mod2(augmented, n + 1)
+        seen[solvable] += 1
+        x = solve_mod2(rows, rhs, n)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert all(sum(a * b for a, b in zip(row, x)) % 2 == b % 2
+                       for row, b in zip(rows, rhs))
+    assert seen[True] > 20 and seen[False] > 20
+
+
 def test_rank_mod2():
     assert rank_mod2([[1, 0], [0, 1]], 2) == 2
     assert rank_mod2([[2, 4], [6, 8]], 2) == 0

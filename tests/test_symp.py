@@ -261,8 +261,11 @@ def test_chain_pattern_violations():
         verify_chain([chain[0], chain[0]], boundary)     # pairing 0, want 1
     with pytest.raises(NotAChain):
         verify_chain(chain, [])                          # wrong count
-    with pytest.raises(NotAChain):
+    with pytest.raises(NotAChain, match="^boundary classes must sum to zero$"):
         verify_chain(chain, [mc(xv(dim, 1))])            # nonzero sum
+    with pytest.raises(NotAChain, match="^boundary curves live under"
+                                        " different structures$"):
+        verify_chain(chain, [mc((0,) * dim, 0, 3)])
     with pytest.raises(NotAChain):
         verify_chain([chain[0], mc(yv(dim, 1), 0, 3)], boundary)
 
@@ -298,10 +301,18 @@ def test_dn_pattern_violations():
         verify_dn([config[0], config[2], config[1]] + config[3:], boundary)
     with pytest.raises(NotDnPattern):
         verify_dn(config, boundary[:1])                  # wrong count
-    with pytest.raises(NotDnPattern):
+    with pytest.raises(NotDnPattern, match="^boundary classes must sum to"
+                                           " zero$"):
         verify_dn(config, [mc(bnd[0]), mc(bnd[0])])      # nonzero sum
-    with pytest.raises(NotDnPattern):
+    with pytest.raises(NotDnPattern, match="^boundary curves are disjoint"
+                                           " from the configuration$"):
         verify_dn(config, [mc(cfg[2]), mc(neg(cfg[2]))])  # meets the chain
+    with pytest.raises(NotDnPattern, match="^boundary curves live under"
+                                           " different structures$"):
+        verify_dn(config, [mc(bnd[0], 0, 3), mc(neg(bnd[0]), 0, 3)])
+    # the two relations share one boundary check but keep their error class
+    assert not issubclass(NotDnPattern, NotAChain)
+    assert not issubclass(NotAChain, NotDnPattern)
 
 
 # --- certified powers of the nested boundary twists ------------------------------

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from vanishingcycles import intlinalg, network, surface
+from vanishingcycles import intlinalg, lattice, network, surface
 
 from vanishingcycles.lattice import (
     Polygon,
@@ -273,6 +273,7 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     # counts, not times: a recomputation reintroduced anywhere on the
     # verdict path changes one of them
     smith = count_calls(monkeypatch, intlinalg.smith_normal_form)
+    normalizations = count_calls(monkeypatch, lattice.canonical_form)
     inflations = count_calls(monkeypatch, surface.inflate)
     segment_passes = count_calls(monkeypatch, network.check_network_invariants,
                                  lambda net: not net._segments_checked)
@@ -290,6 +291,7 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     report = check_networkgenset(Polygon(((0, 0), (8, 0), (0, 8))))
     assert report.classification == ODD_VERDICT
     assert len(smith) == 0
+    assert len(normalizations) == 1
     assert len(inflations) == 2
     assert len(segment_passes) == 2
     assert scanned and max(interior_scans.values()) == 1

@@ -3,8 +3,10 @@ from itertools import combinations, permutations
 
 import pytest
 from oracles import solve_integer
+from test_verify import count_calls
 
-from vanishingcycles.intlinalg import elementary_divisors
+from vanishingcycles import intlinalg
+from vanishingcycles.intlinalg import elementary_divisors, smith_normal_form
 from vanishingcycles.spin import QuadraticFormZ2
 from vanishingcycles.symp import transvection
 from vanishingcycles.wedge import (
@@ -271,6 +273,50 @@ def test_lattice_basis_spans_the_inserted_rows():
             assert solve_integer(rt, b) is not None
             assert not lattice.insert(b)
         assert lattice.basis_rows() == basis
+
+
+def test_full_lattice_answer_matches_smith_divisors():
+    # a triangular basis spans Z^n exactly when it has full rank and every
+    # pivot is +-1; Smith divisors all 1 decide the same question another way
+    rng = random.Random(41)
+    seen = {"full, a pivot -1": 0, "full, pivots 1": 0,
+            "unit pivots, low rank": 0, "full rank, a later pivot 2": 0}
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        rows = [[0] * t + [rng.choice((1, -1, 1, -1, 2, -2))]
+                + [rng.randint(-3, 3) for _ in range(n - t - 1)]
+                for t in range(n)]
+        for _ in range(2 * n):   # unimodular row mixing
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [a + rng.randint(-2, 2) * b
+                       for a, b in zip(rows[i], rows[j])]
+        if rng.random() < 0.2:
+            k = rng.randrange(n)
+            rows[k] = [2 * a for a in rows[k]]
+        if rng.random() < 0.2:
+            del rows[rng.randrange(n)]
+        lattice = _LatticeBasis(n)
+        for r in rows:
+            lattice.insert(r)
+        D, _, _ = smith_normal_form(rows)
+        divisors = [abs(D[i][i]) for i in range(len(rows)) if D[i][i]]
+        full = len(divisors) == n and all(d == 1 for d in divisors)
+        assert lattice.is_full() == full
+        pivots = [lattice.rows[c][c] for c in sorted(lattice.rows)]
+        units = all(abs(p) == 1 for p in pivots)
+        if full:
+            seen["full, a pivot -1" if -1 in pivots else "full, pivots 1"] += 1
+        elif units:
+            seen["unit pivots, low rank"] += 1
+        elif len(pivots) == n and abs(pivots[0]) == 1:
+            seen["full rank, a later pivot 2"] += 1
+    assert all(count > 5 for count in seen.values()), seen
+
+
+def test_closure_runs_no_smith_form(monkeypatch):
+    smith = count_calls(monkeypatch, intlinalg.smith_normal_form)
+    assert lemma_next_closure(5, 0) is True
+    assert smith == []
 
 
 @pytest.mark.parametrize("parity", [0, 1])
