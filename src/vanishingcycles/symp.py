@@ -1,18 +1,21 @@
-"""Exact symplectic-matrix layer: twist images on homology and their relations.
+"""Exact symplectic layer: twist images on homology and their relations.
 
 Every Dehn twist acts on the homology lattice of the doubled surface by a
-transvection x -> x + <x,v>v.  This module carries those matrices with exact
-integer arithmetic and verifies the classical relations between twists at the
-matrix level: the braid relation for once-intersecting pairs, the chain
-relations (the twist word around a linear chain equals the multitwist about
-the chain's boundary), and the type-D relations for a chain with a forked end
-(Dynkin diagram D_n), including the certified powers of the nested boundary
-twists that the fork configuration produces.
+transvection x -> x + <x,v>v, and on the value of a marked curve by
+phi -> phi + <x,v>phi(v).  That action is linear in (class, value), so two
+twist words act alike on every marked curve once they act alike on the
+basis curves (e_i, 0).  One replay of both sides on the basis decides the
+braid relation for once-intersecting pairs, the chain relations (the twist
+word around a chain equals the multitwist about its boundary) and the
+type-D relations for a chain with a forked end (Dynkin diagram D_n).  The
+nested boundary twist powers of a forked chain and the square-transvection
+identity are exact integer matrix identities.
 
 Mod-2 questions - stabilizers of quadratic forms inside Sp(2g, Z/2), closure
 under anisotropic transvections, and the orbit census of forms by Arf
 invariant - are answered by brute-force enumeration with bit-packed matrices.
-The mod-2 path evaluates the same transvection formula as the integer path,
+A stabilizer's order is one orbit-stabilizer count at every genus.  The
+mod-2 path evaluates the same transvection formula as the integer path,
 only with coefficients reduced.
 """
 
@@ -264,19 +267,34 @@ def _same_marked(u: MarkedCurve, v: MarkedCurve) -> bool:
     return False
 
 
+def _same_action(lhs: Sequence[MarkedCurve], repeat: int,
+                 rhs: Sequence[MarkedCurve]) -> bool:
+    """Whether the word ``lhs`` to the ``repeat`` and the word ``rhs`` move
+    every marked curve alike.  A twist sends (h, phi) to
+    (h + <h,c>c, phi + <h,c>phi(c)), which is linear in (h, phi); so two
+    words agree on every marked curve once they agree, class and value
+    mod r, on the basis curves (e_i, 0)."""
+    dim, r = len(lhs[0].h), lhs[0].r
+    for i in range(dim):
+        e = MarkedCurve(_unit(dim, i), 0, r)
+        u, v = apply_word(lhs, e, repeat), apply_word(rhs, e)
+        if u.h != v.h or u.phi != v.phi:
+            return False
+    return True
+
+
 def verify_braid(a: MarkedCurve, b: MarkedCurve) -> bool:
     """Braid relation for a once-intersecting pair.
 
-    Checks the matrix identity T_a T_b T_a = T_b T_a T_b and that the twist
-    word T_a T_b carries the marked curve a to b (up to orientation), value
-    included.
+    Checks that T_a T_b T_a and T_b T_a T_b move every marked curve alike
+    and that the twist word T_a T_b carries the marked curve a to b (up to
+    orientation), value included.
     """
     if len(a.h) != len(b.h) or a.r != b.r:
         raise SympError("curves live under different structures")
     if abs(_pairing(a.h, b.h)) != 1:
         raise BadPairing("braid relation needs pairing +-1")
-    ma, mb = _twist_matrix(a.h), _twist_matrix(b.h)
-    if ma @ mb @ ma != mb @ ma @ mb:
+    if not _same_action([a, b, a], 1, [b, a, b]):
         return False
     image = twist(twist(a, b), a)
     return _same_marked(image, b)
@@ -299,26 +317,14 @@ def _check_chain_pattern(chain: Sequence[MarkedCurve]) -> None:
                     f" expected {want}")
 
 
-def _phi_word_check(word: Sequence[MarkedCurve], repeat: int,
-                    boundary: Sequence[MarkedCurve],
-                    tests: Sequence[MarkedCurve]) -> bool:
-    for t in tests:
-        lhs = apply_word(word, t, repeat=repeat)
-        rhs = apply_word(boundary, t)
-        if lhs.h != rhs.h or (lhs.phi - rhs.phi) % t.r != 0:
-            return False
-    return True
-
-
 def _relation_holds(word: Sequence[MarkedCurve],
                     boundary: Sequence[MarkedCurve], exponent: int,
                     multitwist: Sequence[MarkedCurve],
-                    tests: Optional[Sequence[MarkedCurve]],
                     error: type, disjoint: bool = False) -> bool:
-    """Whether the word to the ``exponent`` equals the multitwist, on
-    matrices and on the test curves (by default the word and the boundary).
-    The boundary must live under the word's structure, sum to zero and, if
-    ``disjoint``, miss every curve of the word; else ``error`` is raised."""
+    """Whether the word to the ``exponent`` equals the multitwist on every
+    marked curve.  The boundary must live under the word's structure, sum
+    to zero and, if ``disjoint``, miss every curve of the word; else
+    ``error`` is raised."""
     dim, r = len(word[0].h), word[0].r
     for b in boundary:
         if len(b.h) != dim or b.r != r:
@@ -327,24 +333,20 @@ def _relation_holds(word: Sequence[MarkedCurve],
             raise error("boundary curves are disjoint from the configuration")
     if any(sum(col) for col in zip(*(b.h for b in boundary))):
         raise error("boundary classes must sum to zero")
-    if word_matrix(word) ** exponent != word_matrix(multitwist):
-        return False
-    if tests is None:
-        tests = list(word) + list(boundary)
-    return _phi_word_check(word, exponent, multitwist, tests)
+    return _same_action(word, exponent, multitwist)
 
 
 def verify_chain(chain: Sequence[MarkedCurve],
-                 boundary: Sequence[MarkedCurve],
-                 tests: Optional[Sequence[MarkedCurve]] = None) -> bool:
+                 boundary: Sequence[MarkedCurve]) -> bool:
     """Chain relation: the (n+1)-st or (2n+2)-nd power of the chain word
     equals the multitwist about the boundary of the chain's neighborhood.
 
     A chain of odd length has a two-component boundary (classes summing to
     zero); a chain of even length has a single separating boundary curve
-    (class zero), so its twist word must act trivially on homology.  The
-    identity is checked on matrices and, through the value-tracking twist
-    rule, on a test set of marked curves.
+    (class zero), so its twist word must act trivially on homology.  Both
+    sides are replayed with the value-tracking twist rule on the basis
+    curves, which decides the identity on every marked curve: classes and
+    values mod r.
     """
     _check_chain_pattern(chain)
     n = len(chain)
@@ -354,8 +356,7 @@ def verify_chain(chain: Sequence[MarkedCurve],
             f"a chain of length {n} bounds {expected} curve(s),"
             f" got {len(boundary)}")
     exponent = n + 1 if n % 2 else 2 * n + 2
-    return _relation_holds(chain, boundary, exponent, boundary, tests,
-                           NotAChain)
+    return _relation_holds(chain, boundary, exponent, boundary, NotAChain)
 
 
 def _check_dn_pattern(config: Sequence[MarkedCurve]) -> None:
@@ -382,8 +383,7 @@ def _check_dn_pattern(config: Sequence[MarkedCurve]) -> None:
 
 
 def verify_dn(config: Sequence[MarkedCurve],
-              boundary: Sequence[MarkedCurve],
-              tests: Optional[Sequence[MarkedCurve]] = None) -> bool:
+              boundary: Sequence[MarkedCurve]) -> bool:
     """Forked-chain (type D_n) relation.
 
     ``config`` lists the two fork curves followed by the chain curves; with
@@ -391,7 +391,8 @@ def verify_dn(config: Sequence[MarkedCurve],
     (n even) power equals the boundary multitwist: for n odd the fork-side
     boundary twisted n-2 times together with the far boundary curve, for
     n even the fork-side boundary twisted (n-2)/2 times together with the
-    two far boundary curves.  Checked on matrices and on marked-curve tests.
+    two far boundary curves.  Decided, like the chain relation, by one
+    replay on the basis curves, which covers every marked curve.
     """
     _check_dn_pattern(config)
     n = len(config)
@@ -404,7 +405,7 @@ def verify_dn(config: Sequence[MarkedCurve],
     else:
         exponent = n - 1
         multitwist = [boundary[0]] * ((n - 2) // 2) + list(boundary[1:])
-    return _relation_holds(config, boundary, exponent, multitwist, tests,
+    return _relation_holds(config, boundary, exponent, multitwist,
                            NotDnPattern, disjoint=True)
 
 
@@ -578,17 +579,6 @@ def _closure_bits(generators: Sequence[int], n: int) -> Set[int]:
     return seen
 
 
-def _columns_bits(mat: int, n: int) -> List[int]:
-    cols = [0] * n
-    for i in range(n):
-        row = (mat >> (i * n)) & ((1 << n) - 1)
-        while row:
-            low = row & (-row)
-            cols[low.bit_length() - 1] |= 1 << i
-            row ^= low
-    return cols
-
-
 def sp_mod2_order(g: int) -> int:
     """Order of Sp(2g, Z/2) from the standard product formula."""
     order = 1
@@ -618,18 +608,11 @@ def _form_orbit(start: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
     while frontier:
         fresh = []
         for form in frontier:
+            tab = _value_table(form)
             for v in range(1, 1 << n):
-                qv = 0
-                vv = v
-                while vv:
-                    low = vv & (-vv)
-                    qv ^= form[low.bit_length() - 1]
-                    vv ^= low
-                for k in range(0, n, 2):
-                    if (v >> k) & 1 and (v >> (k + 1)) & 1:
-                        qv ^= 1
-                out = tuple(form[i] ^ (_pair2(1 << i, v) & (qv ^ 1))
-                            for i in range(n))
+                if tab[v]:
+                    continue    # an anisotropic v: its twist fixes the form
+                out = tuple(form[i] ^ _pair2(1 << i, v) for i in range(n))
                 if out not in seen:
                     seen.add(out)
                     fresh.append(out)
@@ -637,10 +620,9 @@ def _form_orbit(start: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
     return seen
 
 
-def _anisotropic_generators(g: int, q: QuadraticFormZ2
-                            ) -> Tuple[List[int], List[int]]:
-    """The value table of a genus-g form and the transvections about its
-    anisotropic vectors, for the g <= 3 that enumeration allows."""
+def _anisotropic_generators(g: int, q: QuadraticFormZ2) -> List[int]:
+    """The transvections about the anisotropic vectors of a genus-g form,
+    for the g <= 3 that enumeration allows."""
     if g < 1:
         raise SympError("genus must be positive")
     if g > 3:
@@ -649,14 +631,13 @@ def _anisotropic_generators(g: int, q: QuadraticFormZ2
     if len(q.values) != n:
         raise SympError("form does not match the requested genus")
     tab = _value_table(q.values)
-    return tab, [_transvection_bits(v, n)
-                 for v in range(1, 1 << n) if tab[v] == 1]
+    return [_transvection_bits(v, n) for v in range(1, 1 << n) if tab[v]]
 
 
 def anisotropic_closure_order(g: int, q: QuadraticFormZ2) -> int:
     """Order of the subgroup of Sp(2g, Z/2) generated by the transvections
     about anisotropic vectors of the form."""
-    return len(_closure_bits(_anisotropic_generators(g, q)[1], 2 * g))
+    return len(_closure_bits(_anisotropic_generators(g, q), 2 * g))
 
 
 def sp_q_stabilizer_bruteforce(g: int, q: QuadraticFormZ2
@@ -665,30 +646,13 @@ def sp_q_stabilizer_bruteforce(g: int, q: QuadraticFormZ2
     the anisotropic transvections generate it.
 
     A transvection fixes the form exactly when its vector is anisotropic
-    (value 1).  For g <= 2 the whole group is enumerated by closure and the
-    stabilizer filtered out; for g = 3 the stabilizer's order comes from the
-    orbit of the form (orbit times stabilizer equals the group order, and
-    the product formula for the group order is itself reproduced by the
-    g <= 2 closures).  In both cases the subgroup generated by anisotropic
-    transvections is enumerated by closure and compared.
+    (value 1).  The stabilizer's order is one orbit-stabilizer count for
+    every g <= 3: the group order from the product formula (which the
+    g <= 2 closures of :func:`sp_mod2_bfs_order` reproduce) divided by the
+    size of the form's orbit.  The subgroup generated by the anisotropic
+    transvections is enumerated by closure and its order compared.
     """
-    tab, aniso_gens = _anisotropic_generators(g, q)
-    n = 2 * g
-    generated = _closure_bits(aniso_gens, n)
-    if g <= 2:
-        everything = _closure_bits(
-            [_transvection_bits(v, n) for v in range(1, 1 << n)], n)
-        if len(everything) != sp_mod2_order(g):
-            raise SympError("group closure does not match the product"
-                            " formula")
-        stabilizer = set()
-        for mat in everything:
-            cols = _columns_bits(mat, n)
-            if all(tab[cols[i]] == tab[1 << i] for i in range(n)):
-                stabilizer.add(mat)
-        if not generated <= stabilizer:
-            raise SympError("anisotropic closure left the stabilizer")
-        return len(stabilizer), generated == stabilizer
+    generated = _closure_bits(_anisotropic_generators(g, q), 2 * g)
     orbit = len(_form_orbit(tuple(v & 1 for v in q.values)))
     order, rem = divmod(sp_mod2_order(g), orbit)
     if rem:

@@ -251,12 +251,10 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         warnings.append(f"pipeline construction failed: {exc}")
         return _refusal(Q, g, r, False, gates, warnings)
 
-    connected, betti, _ = graph_stats(intersection_graph(net))
+    _, betti, _ = graph_stats(intersection_graph(net))
     evidence.update({
         "curves": len(net),
-        "network_connected": connected,
         "network_betti": betti,
-        "network_fills": S.fills(),
         "euler": S.euler(),
         "faces": len(S.faces),
     })
@@ -292,7 +290,6 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         hypotheses["H3"] = False
         hypotheses["H4"] = False
 
-    # canonical_spin raised unless the network fills, so it is connected
     classification = None
     if all(hypotheses[k] is True for k in HYPOTHESES):
         classification = ODD_VERDICT if r % 2 else EVEN_VERDICT

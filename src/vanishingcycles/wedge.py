@@ -439,10 +439,12 @@ def _induced_columns(mat, n: int) -> List[List[Tuple[int, int]]]:
     """Sparse columns of the cube of a matrix: per source triple, the list of
     (target index, coefficient)."""
     cols = list(zip(*mat))
+    index = _triple_index(n)
     out = []
     for (a, b, c) in _triples(n):
-        image = wedge(cols[a], cols[b], cols[c])
-        out.append([(i, v) for i, v in enumerate(image.coords) if v])
+        acc: Dict[Tuple[int, int, int], int] = {}
+        _accumulate_wedge(acc, cols[a], cols[b], cols[c], 1)
+        out.append([(index[key], v) for key, v in acc.items() if v])
     return out
 
 

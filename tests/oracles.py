@@ -4,7 +4,9 @@ Each function here recomputes something the package decides another way,
 so that the tests can compare the two: integer matrix products, Bareiss
 determinants, integer solving and GF(2) ranks; the spanning tree of an
 arboreal network's one-complex; isotopic pairs of segment curves; and a
-planar filling criterion that needs no ribbon surface.
+planar filling criterion that needs no ribbon surface; twist relations
+decided by integer matrix identities plus a replay on chosen test curves;
+and mod-2 form stabilizers found by filtering all of Sp(2g, Z/2).
 """
 
 import functools
@@ -25,7 +27,18 @@ from vanishingcycles.network import (
     graph_stats,
     intersection_graph,
 )
+from vanishingcycles.spin import twist
 from vanishingcycles.surface import SurfaceError, complement_regions
+from vanishingcycles.symp import (
+    _anisotropic_generators,
+    _closure_bits,
+    _same_marked,
+    _transvection_bits,
+    _value_table,
+    apply_word,
+    sp_mod2_order,
+    word_matrix,
+)
 
 
 class NotArboreal(NetworkError):
@@ -361,3 +374,78 @@ def planar_filling_oracle(P, net) -> bool:
         if runs > 1:
             return False
     return True
+
+
+# --- twist relations -----------------------------------------------------------
+
+def relation_oracle(word, exponent, multitwist, tests) -> bool:
+    """Whether word^exponent equals the multitwist: first as integer
+    matrices, then by replaying both sides on each test curve, values
+    compared mod r.  Only as strong as the test curves: on a set that does
+    not span homology it can miss a value the relation moves."""
+    if word_matrix(word) ** exponent != word_matrix(multitwist):
+        return False
+    for t in tests:
+        lhs = apply_word(word, t, repeat=exponent)
+        rhs = apply_word(multitwist, t)
+        if lhs.h != rhs.h or (lhs.phi - rhs.phi) % t.r:
+            return False
+    return True
+
+
+def chain_oracle(chain, boundary, tests) -> bool:
+    """The chain relation of a valid chain, by :func:`relation_oracle`."""
+    n = len(chain)
+    exponent = n + 1 if n % 2 else 2 * n + 2
+    return relation_oracle(chain, exponent, boundary, tests)
+
+
+def dn_oracle(config, boundary, tests) -> bool:
+    """The forked-chain relation of a valid configuration, by
+    :func:`relation_oracle`."""
+    n = len(config)
+    if n % 2:
+        multitwist = [boundary[0]] * (n - 2) + [boundary[1]]
+        return relation_oracle(config, 2 * n - 2, multitwist, tests)
+    multitwist = [boundary[0]] * ((n - 2) // 2) + list(boundary[1:])
+    return relation_oracle(config, n - 1, multitwist, tests)
+
+
+def braid_oracle(a, b) -> bool:
+    """The braid relation of a once-intersecting pair: the matrix identity
+    T_a T_b T_a = T_b T_a T_b, and T_a T_b carrying a to b."""
+    ma, mb = word_matrix([a]), word_matrix([b])
+    if ma @ mb @ ma != mb @ ma @ mb:
+        return False
+    return _same_marked(twist(twist(a, b), a), b)
+
+
+# --- mod-2 form stabilizers ----------------------------------------------------
+
+def _columns_bits(mat: int, n: int) -> list:
+    cols = [0] * n
+    for i in range(n):
+        row = (mat >> (i * n)) & ((1 << n) - 1)
+        while row:
+            low = row & (-row)
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
+
+
+def stabilizer_filter_oracle(g: int, q) -> tuple:
+    """Order of the stabilizer of a mod-2 form in Sp(2g, Z/2), and whether
+    the anisotropic transvections generate it, for g <= 2: the whole group
+    is enumerated by closure of all transvections and the matrices that keep
+    every basis value are kept."""
+    n = 2 * g
+    everything = _closure_bits(
+        [_transvection_bits(v, n) for v in range(1, 1 << n)], n)
+    assert len(everything) == sp_mod2_order(g)
+    tab = _value_table(q.values)
+    stabilizer = {mat for mat in everything
+                  if all(tab[c] == tab[1 << i]
+                         for i, c in enumerate(_columns_bits(mat, n)))}
+    generated = _closure_bits(_anisotropic_generators(g, q), n)
+    assert generated <= stabilizer
+    return len(stabilizer), generated == stabilizer

@@ -1,6 +1,12 @@
 import random
 
 import pytest
+from oracles import (
+    braid_oracle,
+    chain_oracle,
+    dn_oracle,
+    stabilizer_filter_oracle,
+)
 
 from vanishingcycles.lattice import Polygon
 from vanishingcycles.network import build_network, dn_configuration
@@ -25,6 +31,8 @@ from vanishingcycles.symp import (
     TooLarge,
     anisotropic_closure_order,
     apply_word,
+    model_chain,
+    model_dn,
     nested_twist_power_check,
     quadratic_form_orbits,
     sp_mod2_bfs_order,
@@ -215,8 +223,6 @@ def test_chain_relation_standard_models(n):
     vs, dim = standard_chain(n)
     chain = [mc(v) for v in vs]
     boundary = [mc(b) for b in chain_boundary_classes(n, dim)]
-    assert verify_chain(chain, boundary, tests=basis_tests(dim, 2))
-    # default test set (the curves themselves) agrees
     assert verify_chain(chain, boundary)
 
 
@@ -230,7 +236,7 @@ def test_chain_relation_conjugation_invariant():
         chain = [apply_word(word, mc(v)) for v in vs]
         boundary = [apply_word(word, mc(b))
                     for b in chain_boundary_classes(5, dim)]
-        assert verify_chain(chain, boundary, tests=basis_tests(dim, 2))
+        assert verify_chain(chain, boundary)
 
 
 def test_chain_values_constrain_the_boundary():
@@ -238,17 +244,17 @@ def test_chain_values_constrain_the_boundary():
     vs, dim = standard_chain(3)
     chain = [mc(v, p, 3) for v, p in zip(vs, (0, 0, 1))]
     good = [mc(xv(dim, 2), 0, 3), mc(neg(xv(dim, 2)), 1, 3)]
-    assert verify_chain(chain, good, tests=basis_tests(dim, 3))
+    assert verify_chain(chain, good)
     zero_chain = [mc(v, 0, 2) for v in vs]
     bad = [mc(xv(dim, 2), 0, 2), mc(neg(xv(dim, 2)), 1, 2)]
-    assert not verify_chain(zero_chain, bad, tests=basis_tests(dim, 2))
+    assert not verify_chain(zero_chain, bad)
 
 
 def test_chain_wrong_boundary_class_fails_matrices():
     vs, dim = standard_chain(3)
     chain = [mc(v) for v in vs]
     wrong = [mc(xv(dim, 1)), mc(neg(xv(dim, 1)))]
-    assert not verify_chain(chain, wrong, tests=basis_tests(dim, 2))
+    assert not verify_chain(chain, wrong)
 
 
 def test_chain_pattern_violations():
@@ -277,7 +283,6 @@ def test_dn_relation_models(n):
     cfg, bnd, dim = dn_model(n)
     config = [mc(v) for v in cfg]
     boundary = [mc(b) for b in bnd]
-    assert verify_dn(config, boundary, tests=basis_tests(dim, 2))
     assert verify_dn(config, boundary)
 
 
@@ -285,10 +290,10 @@ def test_dn_values_constrain_the_boundary():
     cfg, bnd, dim = dn_model(3)
     config = [mc(v, p, 2) for v, p in zip(cfg, (0, 1, 0))]
     good = [mc(bnd[0], 1, 2), mc(bnd[1], 1, 2)]
-    assert verify_dn(config, good, tests=basis_tests(dim, 2))
+    assert verify_dn(config, good)
     zero_config = [mc(v, 0, 2) for v in cfg]
     bad = [mc(bnd[0], 1, 2), mc(bnd[1], 0, 2)]
-    assert not verify_dn(zero_config, bad, tests=basis_tests(dim, 2))
+    assert not verify_dn(zero_config, bad)
 
 
 def test_dn_pattern_violations():
@@ -313,6 +318,62 @@ def test_dn_pattern_violations():
     # the two relations share one boundary check but keep their error class
     assert not issubclass(NotDnPattern, NotAChain)
     assert not issubclass(NotAChain, NotDnPattern)
+
+
+# --- relations decided on every marked curve -----------------------------------
+
+def with_values(curves, values):
+    return [MarkedCurve(c.h, p, c.r) for c, p in zip(curves, values)]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_relations_see_every_marked_curve(n):
+    # The curves and the boundary do not span homology when n is odd: with
+    # boundary values (0, 1) the relation agrees on all of them, yet it
+    # moves the value of a class paired with the boundary.
+    for (curves, boundary), verify, oracle in (
+            (model_chain(n, 3), verify_chain, chain_oracle),
+            (model_dn(n, 2), verify_dn, dn_oracle)):
+        off = with_values(boundary, (0, 1))
+        tests = basis_tests(len(curves[0].h), curves[0].r)
+        assert oracle(curves, off, list(curves) + off)
+        assert not oracle(curves, off, tests)
+        assert not verify(curves, off)
+
+
+def seeded_images(groups, rng, r):
+    """The curves under a seeded symplectic map, each with a random value
+    in Z/r, or every value zero on half of the draws."""
+    dim = len(groups[0][0].h)
+    letters = [mc(basis(dim, i)) for i in range(dim)] + \
+              [mc(add(xv(dim, i), xv(dim, i + 1))) for i in range(1, dim // 2)]
+    move = word_matrix([rng.choice(letters) for _ in range(2 * dim)])
+    zero = rng.random() < 0.5
+    return [[MarkedCurve(move.apply(c.h), 0 if zero else rng.randrange(r), r)
+             for c in group] for group in groups]
+
+
+def test_relations_match_the_matrix_oracle():
+    rng = random.Random(53)
+    seen = set()
+    for r in (2, 3, 4, 6):
+        for n in range(2, 9):
+            for _ in range(3):
+                chain, boundary = seeded_images(model_chain(n, r), rng, r)
+                tests = basis_tests(len(chain[0].h), r)
+                got = verify_chain(chain, boundary)
+                assert got == chain_oracle(chain, boundary, tests), (n, r)
+                seen.add(got)
+                for a, b in zip(chain, chain[1:]):
+                    assert verify_braid(a, b) == braid_oracle(a, b)
+        for n in range(3, 10):
+            for _ in range(3):
+                config, boundary = seeded_images(model_dn(n, r), rng, r)
+                tests = basis_tests(len(config[0].h), r)
+                got = verify_dn(config, boundary)
+                assert got == dn_oracle(config, boundary, tests), (n, r)
+                seen.add(got)
+    assert seen == {True, False}
 
 
 # --- certified powers of the nested boundary twists ------------------------------
@@ -411,6 +472,14 @@ def test_stabilizers_genus_one_and_two():
         2, QuadraticFormZ2((1, 1, 1, 0))) == (120, True)
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_stabilizers_match_the_filter_oracle(g):
+    for bits in range(1 << (2 * g)):
+        q = QuadraticFormZ2(tuple((bits >> i) & 1 for i in range(2 * g)))
+        assert sp_q_stabilizer_bruteforce(g, q) == \
+            stabilizer_filter_oracle(g, q), q.values
+
+
 def test_stabilizer_exception_at_genus_two_even():
     # The Arf-0 stabilizer at g=2 is the classical exception: the
     # anisotropic twists generate only an index-2 subgroup.
@@ -461,10 +530,9 @@ def test_network_dn_relation(side6):
     z = add(a, ap)
     assert all(pairing(z, c.h) == 0 for c in config)
     r = spin.r
-    dim = len(z)
     delta0 = MarkedCurve(z, 2, r)
     delta2 = MarkedCurve(neg(z), 2, r)
-    assert verify_dn(config, (delta0, delta2), tests=basis_tests(dim, r))
+    assert verify_dn(config, (delta0, delta2))
     # the boundary values fit the side subsurfaces: the fork side is a
     # one-handle piece, the whole neighborhood a four-handle piece
     assert coherence_check([delta0], -1)

@@ -102,9 +102,9 @@ def test_side6_hypotheses_all_hold(side6_report):
 def test_side6_network_evidence(side6_report):
     ev = side6_report.evidence
     assert ev["curves"] == 28
-    assert ev["network_connected"] and ev["network_betti"] == 1
+    assert "network_connected" not in ev and ev["network_betti"] == 1
     assert ev["reduced_tree"] and ev["reduced_betti"] == 0
-    assert ev["network_fills"] and ev["relative_filling"]
+    assert "network_fills" not in ev and ev["relative_filling"]
     assert ev["euler"] == -18 and ev["faces"] == 10
     assert ev["configuration_size"] == 9
 
