@@ -9,8 +9,8 @@ render     draw the polygon, the shaded inner hull, and the network in the
            doubled-surface picture as a deterministic SVG 1.1 figure
 relations  run the exact twist-relation suite (braid, chain, forked chain,
            square-transvection, wedge-kernel and closure checks)
-orbits     brute-force quadratic-form enumeration: orbit census, group
-           orders, stabilizer data
+orbits     mod-2 quadratic forms: orbit census, group orders, stabilizer
+           data
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
@@ -435,7 +435,8 @@ def _cmd_orbits(args) -> int:
             f"even / {results['orbit_census_g2']['odd']} odd (2 orbits)",
             f"group orders mod 2 (g=1,2,3): {results['group_orders']['g1']}, "
             f"{results['group_orders']['g2']}, {results['group_orders']['g3']}",
-            f"breadth-first order, g=2: {results['bfs_order_g2']}",
+            f"order generated by all transvections, g=2: "
+            f"{results['bfs_order_g2']}",
             f"even stabilizer: order {results['stabilizers_g2']['even']['order']}, "
             "anisotropic transvections generate: "
             f"{results['stabilizers_g2']['even']['generated_by_anisotropic']}",
@@ -465,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", _cmd_verify, "run the hypothesis pipeline and report"),
         ("render", _cmd_render, "draw the polygon, hull and network as SVG"),
         ("relations", _cmd_relations, "run the exact twist-relation suite"),
-        ("orbits", _cmd_orbits, "brute-force quadratic-form enumeration"),
+        ("orbits", _cmd_orbits, "mod-2 form orbits, orders, stabilizers"),
     )
     # each command registers only the options it reads
     for name, func, help_text in specs:

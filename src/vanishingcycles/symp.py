@@ -11,12 +11,14 @@ type-D relations for a chain with a forked end (Dynkin diagram D_n).  The
 nested boundary twist powers of a forked chain and the square-transvection
 identity are exact integer matrix identities.
 
-Mod-2 questions - stabilizers of quadratic forms inside Sp(2g, Z/2), closure
-under anisotropic transvections, and the orbit census of forms by Arf
-invariant - are answered by brute-force enumeration with bit-packed matrices.
-A stabilizer's order is one orbit-stabilizer count at every genus.  The
-mod-2 path evaluates the same transvection formula as the integer path,
-only with coefficients reduced.
+Mod-2 questions - stabilizers of quadratic forms inside Sp(2g, Z/2), the
+subgroup generated by anisotropic transvections, and the orbit census of
+forms by Arf invariant - work on the vectors of F_2^(2g) as bitmasks.  A
+stabilizer's order is one orbit-stabilizer count at every genus.  A
+generated subgroup is never listed: the transvections permute the 2^(2g)
+vectors, and Schreier-Sims gives the order of the permutation group from a
+base and strong generating set.  The mod-2 path evaluates the same
+transvection formula as the integer path, only with coefficients reduced.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class NotDnPattern(SympError):
 
 
 class TooLarge(SympError):
-    """Brute-force enumeration is restricted to small genus."""
+    """The mod-2 computations are restricted to small genus."""
 
 
 class ConditionsViolated(SympError):
@@ -267,6 +269,22 @@ def _same_marked(u: MarkedCurve, v: MarkedCurve) -> bool:
     return False
 
 
+def _replay(word: Sequence[MarkedCurve], h: Tuple[int, ...], phi: int,
+            repeat: int = 1) -> Tuple[Tuple[int, ...], int]:
+    """The class and value of (h, phi) after the word to the ``repeat``,
+    rightmost letter first, on plain integers: a letter c sends (h, phi)
+    to (h + <h,c>c, phi + <h,c>phi(c)), and one that h does not meet is
+    skipped.  The caller has checked that every letter has h's length."""
+    letters = [(c.h, c.phi) for c in reversed(word)]
+    for _ in range(repeat):
+        for ch, cphi in letters:
+            k = _pairing(h, ch)
+            if k:
+                h = tuple(x + k * y for x, y in zip(h, ch))
+                phi += k * cphi
+    return h, phi
+
+
 def _same_action(lhs: Sequence[MarkedCurve], repeat: int,
                  rhs: Sequence[MarkedCurve]) -> bool:
     """Whether the word ``lhs`` to the ``repeat`` and the word ``rhs`` move
@@ -276,9 +294,9 @@ def _same_action(lhs: Sequence[MarkedCurve], repeat: int,
     mod r, on the basis curves (e_i, 0)."""
     dim, r = len(lhs[0].h), lhs[0].r
     for i in range(dim):
-        e = MarkedCurve(_unit(dim, i), 0, r)
-        u, v = apply_word(lhs, e, repeat), apply_word(rhs, e)
-        if u.h != v.h or u.phi != v.phi:
+        e = _unit(dim, i)
+        (hu, pu), (hv, pv) = _replay(lhs, e, 0, repeat), _replay(rhs, e, 0)
+        if hu != hv or (pu - pv) % r:
             return False
     return True
 
@@ -504,7 +522,7 @@ def square_transvection_identity(w: Sequence[int], v1: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Mod-2 brute force: bit-packed matrices over Z/2.
+# Mod-2 layer: vectors of F_2^(2g) as bitmasks, groups as permutations of them.
 
 
 _ALT = 0x5555555555555555
@@ -530,53 +548,102 @@ def _value_table(values: Sequence[int]) -> List[int]:
     return tab
 
 
-def _transvection_bits(v: int, n: int) -> int:
-    p = _swap_adjacent_bits(v) & ((1 << n) - 1)  # p bit i = <e_i, v>
-    mat = 0
-    for j in range(n):
-        row = 1 << j
-        if (v >> j) & 1:
-            row ^= p
-        mat |= row << (j * n)
-    return mat
+def _transvection_perm(v: int, n: int) -> Tuple[int, ...]:
+    """The permutation x -> x + <x,v>v of the 2^n vectors of F_2^n."""
+    return tuple(x ^ v if _pair2(x, v) else x for x in range(1 << n))
 
 
-def _identity_bits(n: int) -> int:
-    mat = 0
-    for i in range(n):
-        mat |= (1 << i) << (i * n)
-    return mat
+def _generated_order(gens: Sequence[Tuple[int, ...]], degree: int) -> int:
+    """Order of the group that the permutations ``gens`` of
+    ``range(degree)`` generate, by deterministic Schreier-Sims.
 
+    A permutation p sends x to p[x].  Each level of the stabilizer chain
+    holds a base point, the strong generators that fix the earlier base
+    points, and the orbit of its base point with, for each orbit point, a
+    representative u carrying the base point there and its inverse.  The
+    generators are added one at a time: one that sifts to the identity is
+    already in the group.  Otherwise it joins the levels down to the one it
+    drops out of, and every Schreier generator u_b s u_{b^s}^-1 not tested
+    yet is sifted through the (complete) levels below; a residue joins the
+    chain the same way.  The order is the product of the orbit sizes.
+    """
+    ident = tuple(range(degree))
+    base: List[int] = []
+    strong: List[List[Tuple[int, ...]]] = []
+    orbits: List[Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]]] = []
+    tested: List[Set[Tuple[int, int]]] = []
 
-def _row_tables(mat: int, n: int) -> List[int]:
-    mask = (1 << n) - 1
-    rows = [(mat >> (i * n)) & mask for i in range(n)]
-    tab = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & (-m)
-        tab[m] = tab[m ^ low] ^ rows[low.bit_length() - 1]
-    return tab
+    def inverse(p):
+        out = [0] * degree
+        for x, y in enumerate(p):
+            out[y] = x
+        return tuple(out)
 
+    def sift(h, level):
+        # strip h through the levels from ``level`` on; return the residue
+        # and the level it drops out of (len(base) if it passes them all)
+        for i in range(level, len(base)):
+            rep = orbits[i].get(h[base[i]])
+            if rep is None:
+                return h, i
+            h = tuple(map(rep[1].__getitem__, h))
+        return h, len(base)
 
-def _closure_bits(generators: Sequence[int], n: int) -> Set[int]:
-    tabs = [_row_tables(g, n) for g in generators]
-    mask = (1 << n) - 1
-    ident = _identity_bits(n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for mat in frontier:
-            rows = [(mat >> (i * n)) & mask for i in range(n)]
-            for tab in tabs:
-                out = 0
-                for i in range(n):
-                    out |= tab[rows[i]] << (i * n)
-                if out not in seen:
-                    seen.add(out)
-                    fresh.append(out)
-        frontier = fresh
-    return seen
+    def insert(h, low, high):
+        # h fixes base[:high]: make it a strong generator of the levels
+        # low..high, opening a new level if high is past the last one
+        if high == len(base):
+            base.append(next(x for x in range(degree) if h[x] != x))
+            strong.append([])
+            orbits.append({base[-1]: (ident, ident)})
+            tested.append(set())
+        for i in range(low, high + 1):
+            strong[i].append(h)
+            orbit = orbits[i]
+            frontier = list(orbit)
+            while frontier:
+                fresh = []
+                for b in frontier:
+                    u = orbit[b][0]
+                    for s in strong[i]:
+                        c = s[b]
+                        if c not in orbit:
+                            us = tuple(map(s.__getitem__, u))
+                            orbit[c] = (us, inverse(us))
+                            fresh.append(c)
+                frontier = fresh
+
+    def close(level):
+        # test the Schreier generators from ``level`` up to level 0; a
+        # residue at level j sends the work back down to j
+        while level >= 0:
+            orbit = orbits[level]
+            for b in list(orbit):
+                for k, s in enumerate(strong[level]):
+                    if (b, k) in tested[level]:
+                        continue
+                    tested[level].add((b, k))
+                    us = tuple(map(s.__getitem__, orbit[b][0]))
+                    schreier = tuple(map(orbit[s[b]][1].__getitem__, us))
+                    h, drop = sift(schreier, level + 1)
+                    if h != ident:
+                        insert(h, level + 1, drop)
+                        return drop
+            level -= 1
+        return -1
+
+    for g in gens:
+        h, drop = sift(g, 0)
+        if h == ident:
+            continue
+        insert(h, 0, drop)
+        level = drop
+        while level >= 0:
+            level = close(level)
+    order = 1
+    for orbit in orbits:
+        order *= len(orbit)
+    return order
 
 
 def sp_mod2_order(g: int) -> int:
@@ -588,15 +655,17 @@ def sp_mod2_order(g: int) -> int:
 
 
 def sp_mod2_bfs_order(g: int) -> int:
-    """Order of Sp(2g, Z/2) found by breadth-first closure of all
-    transvections; restricted to g <= 2 where the group is small."""
+    """Order of Sp(2g, Z/2) re-derived as the order of the group that all
+    transvections generate, by Schreier-Sims on their action on the
+    vectors of F_2^(2g); restricted to g <= 2, where it serves as a check
+    of the product formula."""
     if g < 1:
         raise SympError("genus must be positive")
     if g > 2:
-        raise TooLarge("direct closure is restricted to g <= 2")
+        raise TooLarge("the re-derivation is restricted to g <= 2")
     n = 2 * g
-    gens = [_transvection_bits(v, n) for v in range(1, 1 << n)]
-    return len(_closure_bits(gens, n))
+    return _generated_order(
+        [_transvection_perm(v, n) for v in range(1, 1 << n)], 1 << n)
 
 
 def _form_orbit(start: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
@@ -620,44 +689,52 @@ def _form_orbit(start: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
     return seen
 
 
-def _anisotropic_generators(g: int, q: QuadraticFormZ2) -> List[int]:
-    """The transvections about the anisotropic vectors of a genus-g form,
-    for the g <= 3 that enumeration allows."""
+def _anisotropic_vectors(g: int, q: QuadraticFormZ2) -> List[int]:
+    """The anisotropic vectors of a genus-g form, as bitmasks, for the
+    g <= 4 whose stabilizer chains stay small."""
     if g < 1:
         raise SympError("genus must be positive")
-    if g > 3:
-        raise TooLarge("full enumeration is restricted to g <= 3")
+    if g > 4:
+        raise TooLarge("mod-2 stabilizers are restricted to g <= 4")
     n = 2 * g
     if len(q.values) != n:
         raise SympError("form does not match the requested genus")
     tab = _value_table(q.values)
-    return [_transvection_bits(v, n) for v in range(1, 1 << n) if tab[v]]
+    return [v for v in range(1, 1 << n) if tab[v]]
 
 
 def anisotropic_closure_order(g: int, q: QuadraticFormZ2) -> int:
     """Order of the subgroup of Sp(2g, Z/2) generated by the transvections
-    about anisotropic vectors of the form."""
-    return len(_closure_bits(_anisotropic_generators(g, q), 2 * g))
+    about anisotropic vectors of the form, for g <= 4.
+
+    Found by Schreier-Sims on the permutations these transvections induce
+    on the 2^(2g) vectors of F_2^(2g); the action is linear, hence
+    faithful, so the permutation group has the order of the matrix group.
+    """
+    n = 2 * g
+    return _generated_order(
+        [_transvection_perm(v, n) for v in _anisotropic_vectors(g, q)],
+        1 << n)
 
 
 def sp_q_stabilizer_bruteforce(g: int, q: QuadraticFormZ2
                                ) -> Tuple[int, bool]:
     """Order of the stabilizer of a mod-2 form in Sp(2g, Z/2), and whether
-    the anisotropic transvections generate it.
+    the anisotropic transvections generate it, for g <= 4.
 
     A transvection fixes the form exactly when its vector is anisotropic
-    (value 1).  The stabilizer's order is one orbit-stabilizer count for
-    every g <= 3: the group order from the product formula (which the
-    g <= 2 closures of :func:`sp_mod2_bfs_order` reproduce) divided by the
-    size of the form's orbit.  The subgroup generated by the anisotropic
-    transvections is enumerated by closure and its order compared.
+    (value 1).  The stabilizer's order is one orbit-stabilizer count: the
+    group order from the product formula (which :func:`sp_mod2_bfs_order`
+    re-derives at g <= 2) divided by the size of the form's orbit.  The
+    order of the subgroup the anisotropic transvections generate comes from
+    :func:`anisotropic_closure_order` and is compared with it.
     """
-    generated = _closure_bits(_anisotropic_generators(g, q), 2 * g)
+    generated = anisotropic_closure_order(g, q)
     orbit = len(_form_orbit(tuple(v & 1 for v in q.values)))
     order, rem = divmod(sp_mod2_order(g), orbit)
     if rem:
         raise SympError("orbit size does not divide the group order")
-    return order, len(generated) == order
+    return order, generated == order
 
 
 def quadratic_form_orbits(g: int) -> Dict[int, int]:

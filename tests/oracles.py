@@ -6,7 +6,8 @@ determinants, integer solving and GF(2) ranks; the spanning tree of an
 arboreal network's one-complex; isotopic pairs of segment curves; and a
 planar filling criterion that needs no ribbon surface; twist relations
 decided by integer matrix identities plus a replay on chosen test curves;
-and mod-2 form stabilizers found by filtering all of Sp(2g, Z/2).
+and mod-2 groups enumerated element by element as bit-packed matrices, with
+form stabilizers found by filtering all of Sp(2g, Z/2).
 """
 
 import functools
@@ -30,10 +31,9 @@ from vanishingcycles.network import (
 from vanishingcycles.spin import twist
 from vanishingcycles.surface import SurfaceError, complement_regions
 from vanishingcycles.symp import (
-    _anisotropic_generators,
-    _closure_bits,
+    _anisotropic_vectors,
     _same_marked,
-    _transvection_bits,
+    _swap_adjacent_bits,
     _value_table,
     apply_word,
     sp_mod2_order,
@@ -420,7 +420,67 @@ def braid_oracle(a, b) -> bool:
     return _same_marked(twist(twist(a, b), a), b)
 
 
-# --- mod-2 form stabilizers ----------------------------------------------------
+# --- mod-2 groups by enumeration -------------------------------------------------
+# A matrix over Z/2 is bit-packed into one int: row i at bits i*n..i*n+n-1.
+
+def _transvection_bits(v: int, n: int) -> int:
+    p = _swap_adjacent_bits(v) & ((1 << n) - 1)  # p bit i = <e_i, v>
+    mat = 0
+    for j in range(n):
+        row = 1 << j
+        if (v >> j) & 1:
+            row ^= p
+        mat |= row << (j * n)
+    return mat
+
+
+def _identity_bits(n: int) -> int:
+    mat = 0
+    for i in range(n):
+        mat |= (1 << i) << (i * n)
+    return mat
+
+
+def _row_tables(mat: int, n: int) -> list:
+    mask = (1 << n) - 1
+    rows = [(mat >> (i * n)) & mask for i in range(n)]
+    tab = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & (-m)
+        tab[m] = tab[m ^ low] ^ rows[low.bit_length() - 1]
+    return tab
+
+
+def _closure_bits(generators, n: int) -> set:
+    """Every element of the group the bit-packed matrices generate, found
+    by breadth-first closure."""
+    tabs = [_row_tables(g, n) for g in generators]
+    mask = (1 << n) - 1
+    ident = _identity_bits(n)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for mat in frontier:
+            rows = [(mat >> (i * n)) & mask for i in range(n)]
+            for tab in tabs:
+                out = 0
+                for i in range(n):
+                    out |= tab[rows[i]] << (i * n)
+                if out not in seen:
+                    seen.add(out)
+                    fresh.append(out)
+        frontier = fresh
+    return seen
+
+
+def anisotropic_closure_bits(g: int, q) -> set:
+    """Every element of the group the anisotropic transvections of a form
+    generate, as bit-packed matrices."""
+    n = 2 * g
+    return _closure_bits(
+        [_transvection_bits(v, n) for v in _anisotropic_vectors(g, q)], n)
+
 
 def _columns_bits(mat: int, n: int) -> list:
     cols = [0] * n
@@ -446,6 +506,6 @@ def stabilizer_filter_oracle(g: int, q) -> tuple:
     stabilizer = {mat for mat in everything
                   if all(tab[c] == tab[1 << i]
                          for i, c in enumerate(_columns_bits(mat, n)))}
-    generated = _closure_bits(_anisotropic_generators(g, q), n)
+    generated = anisotropic_closure_bits(g, q)
     assert generated <= stabilizer
     return len(stabilizer), generated == stabilizer

@@ -211,9 +211,10 @@ def test_criterion_6_quadratic_forms():
     assert sp_mod2_bfs_order(2) == 720
 
     # Stabilizers for g <= 3, both parities.  Generation by anisotropic
-    # transvections is a theorem from genus 3 on; the enumeration confirms
-    # it there and reports the honest data below that range, including the
-    # classical genus-2 even-parity exception (closure of index 2).
+    # transvections is a theorem from genus 3 on; the order of the generated
+    # subgroup (Schreier-Sims) equals the orbit-stabilizer count there, and
+    # below that range the honest data is reported, including the classical
+    # genus-2 even-parity exception (generated subgroup of index 2).
     order, generated = sp_q_stabilizer_bruteforce(1, QuadraticFormZ2((1, 1)))
     assert (order, generated) == (6, True)
     order, generated = sp_q_stabilizer_bruteforce(1, QuadraticFormZ2((1, 0)))

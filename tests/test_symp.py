@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
+    anisotropic_closure_bits,
     braid_oracle,
     chain_oracle,
     dn_oracle,
     stabilizer_filter_oracle,
 )
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from vanishingcycles.lattice import Polygon
 from vanishingcycles.network import build_network, dn_configuration
@@ -29,6 +33,8 @@ from vanishingcycles.symp import (
     SpMatrix,
     SympError,
     TooLarge,
+    _generated_order,
+    _transvection_perm,
     anisotropic_closure_order,
     apply_word,
     model_chain,
@@ -440,7 +446,7 @@ def test_square_transvection_condition_checks():
                                      q=QuadraticFormZ2((0,) * 6))
 
 
-# --- mod-2 brute force ------------------------------------------------------------
+# --- mod-2 groups -----------------------------------------------------------------
 
 def test_group_orders():
     assert sp_mod2_order(1) == 6
@@ -500,9 +506,62 @@ def test_stabilizers_genus_three_both_parities():
     assert 40320 * quadratic_form_orbits(3)[0] == sp_mod2_order(3)
 
 
+def test_stabilizers_genus_four_both_parities():
+    census = quadratic_form_orbits(4)
+    even = QuadraticFormZ2((1,) * 8)
+    odd = QuadraticFormZ2((1, 1, 1, 1, 1, 1, 1, 0))
+    assert even.arf() == 0 and odd.arf() == 1
+    assert sp_q_stabilizer_bruteforce(4, even) == (348364800, True)
+    assert sp_q_stabilizer_bruteforce(4, odd) == (394813440, True)
+    assert 348364800 * census[0] == sp_mod2_order(4)
+    assert 394813440 * census[1] == sp_mod2_order(4)
+
+
+def _form_of_arf(g, arf, rng):
+    while True:
+        q = QuadraticFormZ2(tuple(rng.randint(0, 1) for _ in range(2 * g)))
+        if q.arf() == arf:
+            return q
+
+
+def test_generated_order_matches_the_enumeration():
+    rng = random.Random(11)
+    forms = [QuadraticFormZ2(tuple((bits >> i) & 1 for i in range(2 * g)))
+             for g in (1, 2) for bits in range(1 << (2 * g))]
+    forms += [_form_of_arf(3, arf, rng) for arf in (0, 1)]
+    for q in forms:
+        g = len(q.values) // 2
+        assert anisotropic_closure_order(g, q) == \
+            len(anisotropic_closure_bits(g, q)), q.values
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_generated_order_of_all_transvections(g):
+    n = 2 * g
+    gens = [_transvection_perm(v, n) for v in range(1, 1 << n)]
+    order = _generated_order(gens, 1 << n)
+    assert order == sp_mod2_order(g)
+    assert order == PermutationGroup([Permutation(p) for p in gens]).order()
+
+
+@st.composite
+def permutation_sets(draw):
+    degree = draw(st.integers(1, 10))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=4))
+    return degree, [tuple(p) for p in gens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutation_sets())
+def test_generated_order_matches_sympy(case):
+    degree, gens = case
+    want = PermutationGroup([Permutation(p) for p in gens]).order()
+    assert _generated_order(gens, degree) == want
+
+
 def test_bruteforce_input_validation():
     with pytest.raises(TooLarge):
-        sp_q_stabilizer_bruteforce(4, QuadraticFormZ2((1,) * 8))
+        sp_q_stabilizer_bruteforce(5, QuadraticFormZ2((1,) * 10))
     with pytest.raises(SympError):
         sp_q_stabilizer_bruteforce(2, QuadraticFormZ2((1, 1)))
     with pytest.raises(SympError):
