@@ -657,12 +657,12 @@ def sp_mod2_order(g: int) -> int:
 def sp_mod2_bfs_order(g: int) -> int:
     """Order of Sp(2g, Z/2) re-derived as the order of the group that all
     transvections generate, by Schreier-Sims on their action on the
-    vectors of F_2^(2g); restricted to g <= 2, where it serves as a check
-    of the product formula."""
+    vectors of F_2^(2g); restricted to the g <= 4 of the mod-2 stabilizers,
+    where it serves as a check of the product formula."""
     if g < 1:
         raise SympError("genus must be positive")
-    if g > 2:
-        raise TooLarge("the re-derivation is restricted to g <= 2")
+    if g > 4:
+        raise TooLarge("the re-derivation is restricted to g <= 4")
     n = 2 * g
     return _generated_order(
         [_transvection_perm(v, n) for v in range(1, 1 << n)], 1 << n)
@@ -725,8 +725,8 @@ def sp_q_stabilizer_bruteforce(g: int, q: QuadraticFormZ2
     A transvection fixes the form exactly when its vector is anisotropic
     (value 1).  The stabilizer's order is one orbit-stabilizer count: the
     group order from the product formula (which :func:`sp_mod2_bfs_order`
-    re-derives at g <= 2) divided by the size of the form's orbit.  The
-    order of the subgroup the anisotropic transvections generate comes from
+    re-derives) divided by the size of the form's orbit.  The order of the
+    subgroup the anisotropic transvections generate comes from
     :func:`anisotropic_closure_order` and is compared with it.
     """
     generated = anisotropic_closure_order(g, q)

@@ -10,7 +10,10 @@ to homology vectors with the symplectic pairing.
 Two constructive verifications live here: the generator families whose span
 is the contraction kernel, and a budgeted round closure that replays a fixed
 list of symplectic transformations on the seed triple x1^y1^x4 until the
-images span the whole exterior cube (read off the echelon pivots).
+images span the whole exterior cube (read off the echelon pivots).  Each
+round maps only the frontier, the images that grew the lattice in the round
+before, through the transformations; the echelon keeps its rows sparse, and
+the rounds stop as soon as the lattice is the full cube.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class Wedge3:
         n = self.n
         if len(rows) != n or any(len(r) != n for r in rows):
             raise WedgeError("matrix does not act on this ambient rank")
-        cols = list(zip(*rows))
+        cols = [_support(col) for col in zip(*rows)]
         acc: Dict[Tuple[int, int, int], int] = {}
         for (a, b, c), coeff in zip(_triples(n), self.coords):
             if coeff:
@@ -125,16 +128,21 @@ class Wedge3:
         return _from_accumulator(n, acc)
 
 
+def _support(u: Sequence[int]) -> List[Tuple[int, int]]:
+    """The nonzero entries of a vector as (index, value) pairs."""
+    return [(i, int(x)) for i, x in enumerate(u) if x]
+
+
 def _accumulate_wedge(acc, u, v, w, scale):
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if not vj or j == i:
+    """Add scale * u^v^w to acc, keyed by sorted triple; the factors are
+    given by their supports."""
+    for i, ui in u:
+        for j, vj in v:
+            if j == i:
                 continue
             uv = scale * ui * vj
-            for k, wk in enumerate(w):
-                if not wk or k == i or k == j:
+            for k, wk in w:
+                if k == i or k == j:
                     continue
                 key, sign = _sort_with_sign(i, j, k)
                 acc[key] = acc.get(key, 0) + sign * uv * wk
@@ -155,8 +163,7 @@ def wedge(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> Wedge3:
     if len(v) != n or len(w) != n:
         raise WedgeError("factors live in different ambient ranks")
     acc: Dict[Tuple[int, int, int], int] = {}
-    _accumulate_wedge(acc, [int(x) for x in u], [int(x) for x in v],
-                      [int(x) for x in w], 1)
+    _accumulate_wedge(acc, _support(u), _support(v), _support(w), 1)
     return _from_accumulator(n, acc)
 
 
@@ -438,7 +445,7 @@ def closure_transformations(g: int, parity: int
 def _induced_columns(mat, n: int) -> List[List[Tuple[int, int]]]:
     """Sparse columns of the cube of a matrix: per source triple, the list of
     (target index, coefficient)."""
-    cols = list(zip(*mat))
+    cols = [_support(col) for col in zip(*mat)]
     index = _triple_index(n)
     out = []
     for (a, b, c) in _triples(n):
@@ -448,41 +455,62 @@ def _induced_columns(mat, n: int) -> List[List[Tuple[int, int]]]:
     return out
 
 
+def _combine(a: int, u: Dict[int, int], b: int, v: Dict[int, int]
+             ) -> Dict[int, int]:
+    """a*u + b*v on sparse rows, zeros dropped; b is nonzero."""
+    out = {c: a * x for c, x in u.items()} if a else {}
+    for c, x in v.items():
+        y = out.get(c, 0) + b * x
+        if y:
+            out[c] = y
+        else:
+            del out[c]
+    return out
+
+
 class _LatticeBasis:
-    """Row lattice in echelon form supporting growth detection; each row
-    is keyed by its pivot column and is zero before it."""
+    """Row lattice in echelon form supporting growth detection.
+
+    Each row is a sparse ``{column: value}`` dict keyed by its pivot column
+    (its least nonzero column).  A row put in is reduced pivot by pivot:
+    an exact multiple of the pivot is subtracted, otherwise the two rows
+    are replaced by their extended-gcd combination, which shrinks the
+    stored pivot and clears the incoming one.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: Dict[int, List[int]] = {}
+        self.rows: Dict[int, Dict[int, int]] = {}
 
-    def insert(self, row: Sequence[int]) -> bool:
-        r = list(row)
+    def insert(self, row: Dict[int, int]) -> bool:
+        """Add a sparse row; whether the lattice changed."""
+        r = {c: v for c, v in row.items() if v}
         changed = False
-        c = 0
-        while c < self.ncols:
-            if r[c] == 0:
-                c += 1
-                continue
-            if c not in self.rows:
+        while r:
+            c = min(r)
+            b = self.rows.get(c)
+            if b is None:
                 self.rows[c] = r
                 return True
-            b = self.rows[c]
             if r[c] % b[c] == 0:
-                q = r[c] // b[c]
-                r = [u - q * v for u, v in zip(r, b)]
+                r = _combine(1, r, -(r[c] // b[c]), b)
                 continue
             gg, x, y = ext_gcd(b[c], r[c])
             pb, pr = b[c] // gg, r[c] // gg
-            nb = [x * u + y * v for u, v in zip(b, r)]
-            nr = [pb * v - pr * u for u, v in zip(b, r)]
-            self.rows[c] = nb
-            r = nr
+            self.rows[c] = _combine(x, b, y, r)
+            r = _combine(pb, r, -pr, b)
             changed = True
         return changed
 
     def basis_rows(self) -> List[List[int]]:
-        return [self.rows[c] for c in sorted(self.rows)]
+        """The rows by pivot, written out densely."""
+        out = []
+        for c in sorted(self.rows):
+            dense = [0] * self.ncols
+            for i, v in self.rows[c].items():
+                dense[i] = v
+            out.append(dense)
+        return out
 
     def is_full(self) -> bool:
         """Whether the rows span all of Z^ncols: a triangular basis does
@@ -495,49 +523,47 @@ def lemma_next_closure(g: int, parity: int, max_rounds: int = 12) -> bool:
     """Whether the replayed transformations span the whole cube from the
     seed x1^y1^x4.
 
-    Each round applies every transformation to every current lattice basis
-    row and inserts the images.  Rounds stop when the lattice stabilizes;
-    the result is whether the stable lattice is the full cube, read off the
-    echelon pivots (full rank, every pivot a unit).  If the lattice is
-    still growing after ``max_rounds`` rounds a BudgetExceeded error is
-    raised; with ``max_rounds=0`` the seed alone is evaluated.
+    Round k adds to the lattice the images of the lattice of round k - 1
+    under every transformation.  Only the frontier is mapped: the seed in
+    round one, and afterwards the images that grew the lattice in the round
+    before.  That suffices because the lattice is spanned by the seed and
+    the images that grew it, and every earlier one of those has already
+    been mapped.  Rounds stop when the frontier is empty or the lattice is
+    the full cube (full rank, every echelon pivot a unit), since a full
+    lattice cannot grow; the result is whether the final lattice is full.
+    If the lattice is still growing after ``max_rounds`` rounds, one probe
+    round is run and BudgetExceeded raised if it grows; with
+    ``max_rounds=0`` the seed alone is evaluated.
     """
     if max_rounds < 0:
         raise WedgeError("the budget is nonnegative")
     n = 2 * g
-    mats = closure_transformations(g, parity)
-    induced = [_induced_columns(m, n) for m in mats]
-    dim = len(_triples(n))
-    seed = wedge([int(t == 0) for t in range(n)],
-                 [int(t == 1) for t in range(n)],
-                 [int(t == 6) for t in range(n)])
-    lattice = _LatticeBasis(dim)
-    lattice.insert(list(seed.coords))
+    induced = [_induced_columns(m, n)
+               for m in closure_transformations(g, parity)]
+    lattice = _LatticeBasis(len(_triples(n)))
+    seed = {_triple_index(n)[(0, 1, 6)]: 1}
+    lattice.insert(seed)
 
-    def round_images(rows):
-        images = []
-        for row in rows:
-            support = [(i, v) for i, v in enumerate(row) if v]
+    def grow(frontier):
+        fresh = []
+        for row in frontier:
             for columns in induced:
-                out = [0] * dim
-                for i, v in support:
+                image: Dict[int, int] = {}
+                for i, v in row.items():
                     for target, coeff in columns[i]:
-                        out[target] += v * coeff
-                images.append(out)
-        return images
+                        image[target] = image.get(target, 0) + v * coeff
+                if lattice.insert(image):
+                    fresh.append(image)
+                    if lattice.is_full():
+                        return fresh    # nonempty: this round did grow
+        return fresh
 
-    grew = True
+    frontier = [seed]
     for _ in range(max_rounds):
-        grew = False
-        for image in round_images(lattice.basis_rows()):
-            if lattice.insert(image):
-                grew = True
-        if not grew:
-            break
-    if max_rounds and grew:
-        # the last round still changed the lattice: growth status unknown
-        if any(lattice.insert(image)
-               for image in round_images(lattice.basis_rows())):
-            raise BudgetExceeded(
-                f"lattice still growing after {max_rounds} rounds")
+        frontier = grow(frontier)
+        if not frontier or lattice.is_full():
+            return lattice.is_full()
+    if max_rounds and grow(frontier):
+        raise BudgetExceeded(
+            f"lattice still growing after {max_rounds} rounds")
     return lattice.is_full()

@@ -6,14 +6,15 @@ determinants, integer solving and GF(2) ranks; the spanning tree of an
 arboreal network's one-complex; isotopic pairs of segment curves; and a
 planar filling criterion that needs no ribbon surface; twist relations
 decided by integer matrix identities plus a replay on chosen test curves;
-and mod-2 groups enumerated element by element as bit-packed matrices, with
-form stabilizers found by filtering all of Sp(2g, Z/2).
+mod-2 groups enumerated element by element as bit-packed matrices, with
+form stabilizers found by filtering all of Sp(2g, Z/2); and the exterior-cube
+span closure on dense echelon rows, re-mapping the whole basis every round.
 """
 
 import functools
 from fractions import Fraction
 
-from vanishingcycles.intlinalg import smith_normal_form
+from vanishingcycles.intlinalg import ext_gcd, smith_normal_form
 from vanishingcycles.lattice import genus
 from vanishingcycles.network import (
     ACurve,
@@ -38,6 +39,14 @@ from vanishingcycles.symp import (
     apply_word,
     sp_mod2_order,
     word_matrix,
+)
+from vanishingcycles.wedge import (
+    BudgetExceeded,
+    WedgeError,
+    _induced_columns,
+    _triples,
+    closure_transformations,
+    wedge,
 )
 
 
@@ -509,3 +518,95 @@ def stabilizer_filter_oracle(g: int, q) -> tuple:
     generated = anisotropic_closure_bits(g, q)
     assert generated <= stabilizer
     return len(stabilizer), generated == stabilizer
+
+
+# --- the exterior-cube span closure -----------------------------------------------
+
+class DenseLatticeBasis:
+    """Row lattice in echelon form on dense rows; each row is keyed by its
+    pivot column and is zero before it."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows = {}
+
+    def insert(self, row) -> bool:
+        r = list(row)
+        changed = False
+        c = 0
+        while c < self.ncols:
+            if r[c] == 0:
+                c += 1
+                continue
+            if c not in self.rows:
+                self.rows[c] = r
+                return True
+            b = self.rows[c]
+            if r[c] % b[c] == 0:
+                q = r[c] // b[c]
+                r = [u - q * v for u, v in zip(r, b)]
+                continue
+            gg, x, y = ext_gcd(b[c], r[c])
+            pb, pr = b[c] // gg, r[c] // gg
+            nb = [x * u + y * v for u, v in zip(b, r)]
+            nr = [pb * v - pr * u for u, v in zip(b, r)]
+            self.rows[c] = nb
+            r = nr
+            changed = True
+        return changed
+
+    def basis_rows(self) -> list:
+        return [self.rows[c] for c in sorted(self.rows)]
+
+    def is_full(self) -> bool:
+        return (len(self.rows) == self.ncols
+                and all(abs(row[c]) == 1 for c, row in self.rows.items()))
+
+
+def closure_rounds_oracle(g: int, parity: int, max_rounds: int = 12) -> bool:
+    """The span closure of the seed x1^y1^x4, with every round mapping
+    every basis row of the lattice through every transformation on dense
+    rows, and stopping only when a round leaves the lattice unchanged; the
+    budget and its probe round mean what they mean for
+    :func:`lemma_next_closure`.  The probe round runs in full, so that an
+    overrun leaves the lattice of one round past the budget."""
+    if max_rounds < 0:
+        raise WedgeError("the budget is nonnegative")
+    n = 2 * g
+    mats = closure_transformations(g, parity)
+    induced = [_induced_columns(m, n) for m in mats]
+    dim = len(_triples(n))
+    seed = wedge([int(t == 0) for t in range(n)],
+                 [int(t == 1) for t in range(n)],
+                 [int(t == 6) for t in range(n)])
+    lattice = DenseLatticeBasis(dim)
+    lattice.insert(list(seed.coords))
+
+    def round_images(rows):
+        images = []
+        for row in rows:
+            support = [(i, v) for i, v in enumerate(row) if v]
+            for columns in induced:
+                out = [0] * dim
+                for i, v in support:
+                    for target, coeff in columns[i]:
+                        out[target] += v * coeff
+                images.append(out)
+        return images
+
+    def run_round():
+        grew = False
+        for image in round_images(lattice.basis_rows()):
+            if lattice.insert(image):
+                grew = True
+        return grew
+
+    grew = True
+    for _ in range(max_rounds):
+        grew = run_round()
+        if not grew:
+            break
+    if max_rounds and grew and run_round():
+        raise BudgetExceeded(
+            f"lattice still growing after {max_rounds} rounds")
+    return lattice.is_full()

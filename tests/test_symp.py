@@ -454,8 +454,10 @@ def test_group_orders():
     assert sp_mod2_order(3) == 1451520
     assert sp_mod2_bfs_order(1) == 6
     assert sp_mod2_bfs_order(2) == 720
+    assert sp_mod2_bfs_order(3) == sp_mod2_order(3) == 1451520
+    assert sp_mod2_bfs_order(4) == sp_mod2_order(4) == 47377612800
     with pytest.raises(TooLarge):
-        sp_mod2_bfs_order(3)
+        sp_mod2_bfs_order(5)
 
 
 def test_form_orbit_census():

@@ -2,10 +2,14 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from oracles import solve_integer
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import oracles
+from oracles import DenseLatticeBasis, closure_rounds_oracle, solve_integer
 from test_verify import count_calls
 
 from vanishingcycles import intlinalg
+from vanishingcycles import wedge as wedge_module
 from vanishingcycles.intlinalg import elementary_divisors, smith_normal_form
 from vanishingcycles.spin import QuadraticFormZ2
 from vanishingcycles.symp import transvection
@@ -260,7 +264,7 @@ def test_lattice_basis_spans_the_inserted_rows():
         rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(5)]
         lattice = _LatticeBasis(4)
         for r in rows:
-            lattice.insert(r)
+            lattice.insert(dict(enumerate(r)))
         basis = lattice.basis_rows()
         if not basis:
             assert not any(any(r) for r in rows)
@@ -271,7 +275,7 @@ def test_lattice_basis_spans_the_inserted_rows():
             assert solve_integer(bt, r) is not None
         for b in basis:
             assert solve_integer(rt, b) is not None
-            assert not lattice.insert(b)
+            assert not lattice.insert(dict(enumerate(b)))
         assert lattice.basis_rows() == basis
 
 
@@ -297,7 +301,7 @@ def test_full_lattice_answer_matches_smith_divisors():
             del rows[rng.randrange(n)]
         lattice = _LatticeBasis(n)
         for r in rows:
-            lattice.insert(r)
+            lattice.insert(dict(enumerate(r)))
         D, _, _ = smith_normal_form(rows)
         divisors = [abs(D[i][i]) for i in range(len(rows)) if D[i][i]]
         full = len(divisors) == n and all(d == 1 for d in divisors)
@@ -313,6 +317,24 @@ def test_full_lattice_answer_matches_smith_divisors():
     assert all(count > 5 for count in seen.values()), seen
 
 
+@st.composite
+def row_lists(draw):
+    width = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
+    return width, draw(st.lists(row, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_lists())
+def test_sparse_echelon_matches_the_dense_one(case):
+    width, rows = case
+    sparse, dense = _LatticeBasis(width), DenseLatticeBasis(width)
+    for r in rows:
+        assert sparse.insert(dict(enumerate(r))) == dense.insert(r)
+        assert sparse.basis_rows() == dense.basis_rows()
+    assert sparse.is_full() == dense.is_full()
+
+
 def test_closure_runs_no_smith_form(monkeypatch):
     smith = count_calls(monkeypatch, intlinalg.smith_normal_form)
     assert lemma_next_closure(5, 0) is True
@@ -322,6 +344,72 @@ def test_closure_runs_no_smith_form(monkeypatch):
 @pytest.mark.parametrize("parity", [0, 1])
 def test_closure_reaches_the_full_cube(parity):
     assert lemma_next_closure(5, parity) is True
+
+
+@pytest.mark.parametrize("g", [7, 8])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_closure_reaches_the_full_cube_at_higher_genus(g, parity):
+    assert lemma_next_closure(g, parity) is True
+
+
+def _recorded_lattices(monkeypatch, module, name):
+    """The list that every echelon built from ``module.name`` is appended
+    to from now on."""
+    made = []
+
+    class Recorded(getattr(module, name)):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            made.append(self)
+
+    monkeypatch.setattr(module, name, Recorded)
+    return made
+
+
+def _answer(closure, *args):
+    try:
+        return closure(*args)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+@pytest.mark.parametrize("g", [5, 6])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_closure_matches_the_full_basis_rounds(monkeypatch, g, parity):
+    # mapping only the rows that grew the lattice gives the lattice of
+    # mapping the whole basis, round by round, so every budget answers alike
+    # and ends on the same lattice: the same ideal of leading coefficients
+    # on every pivot column, and each oracle row already inside
+    dense_made = _recorded_lattices(monkeypatch, oracles, "DenseLatticeBasis")
+    sparse_made = _recorded_lattices(monkeypatch, wedge_module,
+                                     "_LatticeBasis")
+    for max_rounds in range(9):
+        want = _answer(closure_rounds_oracle, g, parity, max_rounds)
+        assert _answer(lemma_next_closure, g, parity, max_rounds) is want, \
+            max_rounds
+        dense, sparse = dense_made[-1], sparse_made[-1]
+        assert ({c: abs(row[c]) for c, row in sparse.rows.items()}
+                == {c: abs(row[c]) for c, row in dense.rows.items()})
+        inside = _LatticeBasis(sparse.ncols)
+        inside.rows = dict(sparse.rows)
+        assert not any(inside.insert(dict(enumerate(r)))
+                       for r in dense.basis_rows()), max_rounds
+
+
+def test_closure_maps_only_rows_that_grew_the_lattice(monkeypatch):
+    # one image per transformation of the seed and of each row whose
+    # insertion changed the lattice, and no round after the lattice is full
+    results = []
+    insert = _LatticeBasis.insert
+
+    def recorded(self, row):
+        results.append(insert(self, row))
+        return results[-1]
+
+    monkeypatch.setattr(_LatticeBasis, "insert", recorded)
+    assert lemma_next_closure(6, 1) is True
+    images = len(results) - 1
+    assert images <= len(closure_transformations(6, 1)) * sum(results)
 
 
 def test_closure_budget_semantics():
