@@ -2,14 +2,16 @@
 
 Every Dehn twist acts on the homology lattice of the doubled surface by a
 transvection x -> x + <x,v>v, and on the value of a marked curve by
-phi -> phi + <x,v>phi(v).  That action is linear in (class, value), so two
-twist words act alike on every marked curve once they act alike on the
-basis curves (e_i, 0).  One replay of both sides on the basis decides the
-braid relation for once-intersecting pairs, the chain relations (the twist
-word around a chain equals the multitwist about its boundary) and the
-type-D relations for a chain with a forked end (Dynkin diagram D_n).  The
-nested boundary twist powers of a forked chain and the square-transvection
-identity are exact integer matrix identities.
+phi -> phi + <x,v>phi(v).  A word in twists about curves c_1..c_m moves
+(h, phi) by sum a_i (c_i, phi(c_i)), with a linear in the pairing vector
+(<h, c_i>)_i alone; so two words act alike on every marked curve once they
+act alike on the pairing vectors of the basis classes, replayed in m
+coordinates instead of 2g.  That decides the braid relation for
+once-intersecting pairs, the chain relations (the twist word around a
+chain equals the multitwist about its boundary) and the type-D relations
+for a chain with a forked end (Dynkin diagram D_n).  The nested boundary
+twist powers of a forked chain and the square-transvection identity are
+exact integer matrix identities.
 
 Mod-2 questions - stabilizers of quadratic forms inside Sp(2g, Z/2), the
 subgroup generated by anisotropic transvections, and the orbit census of
@@ -129,8 +131,10 @@ class SpMatrix:
     def __pow__(self, k: int) -> "SpMatrix":
         base = self if k >= 0 else self.inverse()
         out = SpMatrix.identity(self.dimension)
-        for _ in range(abs(k)):
-            out = out @ base
+        for bit in bin(abs(k))[2:]:     # binary powering, high bit first
+            out = out @ out
+            if bit == "1":
+                out = out @ base
         return out
 
     def mod(self, m: int) -> Tuple[Tuple[int, ...], ...]:
@@ -269,34 +273,51 @@ def _same_marked(u: MarkedCurve, v: MarkedCurve) -> bool:
     return False
 
 
-def _replay(word: Sequence[MarkedCurve], h: Tuple[int, ...], phi: int,
-            repeat: int = 1) -> Tuple[Tuple[int, ...], int]:
-    """The class and value of (h, phi) after the word to the ``repeat``,
-    rightmost letter first, on plain integers: a letter c sends (h, phi)
-    to (h + <h,c>c, phi + <h,c>phi(c)), and one that h does not meet is
-    skipped.  The caller has checked that every letter has h's length."""
-    letters = [(c.h, c.phi) for c in reversed(word)]
-    for _ in range(repeat):
-        for ch, cphi in letters:
-            k = _pairing(h, ch)
-            if k:
-                h = tuple(x + k * y for x, y in zip(h, ch))
-                phi += k * cphi
-    return h, phi
+def _pairings(curves: Sequence[MarkedCurve]):
+    """The Gram rows of the curves, row j mapping i to <c_j, c_i> where
+    that is nonzero, and the distinct nonzero pairing vectors (<e_k, c_i>)_i
+    of the basis classes as (i, value) tuples, both from the supports."""
+    at: Dict[int, List[Tuple[int, int]]] = {}     # k -> [(i, <e_k, c_i>)]
+    for i, c in enumerate(curves):
+        for k, x in enumerate(c.h):
+            if x:
+                at.setdefault(k ^ 1, []).append((i, x if k % 2 else -x))
+    gram = []
+    for c in curves:
+        row: Dict[int, int] = {}
+        for k, x in enumerate(c.h):
+            for i, y in at.get(k, ()) if x else ():
+                row[i] = row.get(i, 0) + x * y
+        gram.append({i: v for i, v in row.items() if v})
+    return gram, {tuple(p) for p in at.values()}
 
 
-def _same_action(lhs: Sequence[MarkedCurve], repeat: int,
-                 rhs: Sequence[MarkedCurve]) -> bool:
-    """Whether the word ``lhs`` to the ``repeat`` and the word ``rhs`` move
-    every marked curve alike.  A twist sends (h, phi) to
-    (h + <h,c>c, phi + <h,c>phi(c)), which is linear in (h, phi); so two
-    words agree on every marked curve once they agree, class and value
-    mod r, on the basis curves (e_i, 0)."""
-    dim, r = len(lhs[0].h), lhs[0].r
-    for i in range(dim):
-        e = _unit(dim, i)
-        (hu, pu), (hv, pv) = _replay(lhs, e, 0, repeat), _replay(rhs, e, 0)
-        if hu != hv or (pu - pv) % r:
+def _same_action(curves: Sequence[MarkedCurve], pairings,
+                 lhs: Sequence[int], repeat: int, rhs: Sequence[int]) -> bool:
+    """Whether the word ``lhs`` to the ``repeat`` and the word ``rhs``,
+    letters given as indices into ``curves`` with their :func:`_pairings`,
+    move every marked curve alike.  Replayed rightmost first on a pairing
+    vector p, the letter c_j adds p_j to a_j and p_j <c_j, c_i> to each p_i.
+    The words agree when, for the p of every basis class, d = a_lhs - a_rhs
+    has sum d_i phi(c_i) = 0 mod r and sum d_i c_i = 0 (it pairs to 0 with
+    every basis class).  Other p are not tested: the true odd-chain
+    relation, whose boundary lists delta and -delta, fails on some."""
+    gram, gens = pairings
+    rows = [list(row.items()) for row in gram]
+    for gen in gens:
+        d = [0] * len(curves)
+        for word, sign in (([*reversed(lhs)] * repeat, 1), (rhs[::-1], -1)):
+            p = [0] * len(curves)
+            for i, x in gen:
+                p[i] = x
+            for j in word:
+                k = p[j]
+                if k:
+                    d[j] += sign * k
+                    for i, v in rows[j]:
+                        p[i] += k * v
+        if sum(x * c.phi for x, c in zip(d, curves)) % curves[0].r or any(
+                sum(d[i] * y for i, y in q) for q in gens):
             return False
     return True
 
@@ -310,15 +331,17 @@ def verify_braid(a: MarkedCurve, b: MarkedCurve) -> bool:
     """
     if len(a.h) != len(b.h) or a.r != b.r:
         raise SympError("curves live under different structures")
-    if abs(_pairing(a.h, b.h)) != 1:
+    pairings = _pairings((a, b))
+    if abs(pairings[0][0].get(1, 0)) != 1:
         raise BadPairing("braid relation needs pairing +-1")
-    if not _same_action([a, b, a], 1, [b, a, b]):
+    if not _same_action((a, b), pairings, (0, 1, 0), 1, (1, 0, 1)):
         return False
     image = twist(twist(a, b), a)
     return _same_marked(image, b)
 
 
-def _check_chain_pattern(chain: Sequence[MarkedCurve]) -> None:
+def _check_chain_pattern(chain: Sequence[MarkedCurve], gram: List[dict],
+                         first: int = 0) -> None:
     if not chain:
         raise NotAChain("empty chain")
     r = chain[0].r
@@ -327,7 +350,7 @@ def _check_chain_pattern(chain: Sequence[MarkedCurve]) -> None:
         raise NotAChain("chain curves live under different structures")
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
-            got = abs(_pairing(chain[i].h, chain[j].h))
+            got = abs(gram[first + i].get(first + j, 0))
             want = 1 if j == i + 1 else 0
             if got != want:
                 raise NotAChain(
@@ -335,23 +358,24 @@ def _check_chain_pattern(chain: Sequence[MarkedCurve]) -> None:
                     f" expected {want}")
 
 
-def _relation_holds(word: Sequence[MarkedCurve],
-                    boundary: Sequence[MarkedCurve], exponent: int,
-                    multitwist: Sequence[MarkedCurve],
+def _relation_holds(curves: Sequence[MarkedCurve], pairings, n: int,
+                    exponent: int, multitwist: Sequence[int],
                     error: type, disjoint: bool = False) -> bool:
-    """Whether the word to the ``exponent`` equals the multitwist on every
-    marked curve.  The boundary must live under the word's structure, sum
-    to zero and, if ``disjoint``, miss every curve of the word; else
-    ``error`` is raised."""
-    dim, r = len(word[0].h), word[0].r
-    for b in boundary:
-        if len(b.h) != dim or b.r != r:
+    """Whether the word of the first ``n`` curves to the ``exponent`` equals
+    the multitwist (indices into ``curves``) on every marked curve.  The
+    boundary, the curves after the word, must live under the word's
+    structure, sum to zero and, if ``disjoint``, miss every curve of the
+    word; else ``error`` is raised."""
+    dim, r = len(curves[0].h), curves[0].r
+    for b in range(n, len(curves)):
+        if len(curves[b].h) != dim or curves[b].r != r:
             raise error("boundary curves live under different structures")
-        if disjoint and any(_pairing(b.h, c.h) for c in word):
-            raise error("boundary curves are disjoint from the configuration")
-    if any(sum(col) for col in zip(*(b.h for b in boundary))):
+        if disjoint and any(j < n for j in pairings[0][b]):
+            raise error("boundary curves must be disjoint from the"
+                        " configuration")
+    if any(sum(col) for col in zip(*(b.h for b in curves[n:]))):
         raise error("boundary classes must sum to zero")
-    return _same_action(word, exponent, multitwist)
+    return _same_action(curves, pairings, range(n), exponent, multitwist)
 
 
 def verify_chain(chain: Sequence[MarkedCurve],
@@ -362,11 +386,13 @@ def verify_chain(chain: Sequence[MarkedCurve],
     A chain of odd length has a two-component boundary (classes summing to
     zero); a chain of even length has a single separating boundary curve
     (class zero), so its twist word must act trivially on homology.  Both
-    sides are replayed with the value-tracking twist rule on the basis
-    curves, which decides the identity on every marked curve: classes and
-    values mod r.
+    sides are replayed with the value-tracking twist rule on the pairing
+    vectors of the basis classes with the chain and boundary curves, which
+    decides the identity on every marked curve: classes and values mod r.
     """
-    _check_chain_pattern(chain)
+    curves = (*chain, *boundary)
+    pairings = _pairings(curves)
+    _check_chain_pattern(chain, pairings[0])
     n = len(chain)
     expected = 2 if n % 2 else 1
     if len(boundary) != expected:
@@ -374,30 +400,28 @@ def verify_chain(chain: Sequence[MarkedCurve],
             f"a chain of length {n} bounds {expected} curve(s),"
             f" got {len(boundary)}")
     exponent = n + 1 if n % 2 else 2 * n + 2
-    return _relation_holds(chain, boundary, exponent, boundary, NotAChain)
+    return _relation_holds(curves, pairings, n, exponent,
+                           range(n, len(curves)), NotAChain)
 
 
-def _check_dn_pattern(config: Sequence[MarkedCurve]) -> None:
+def _check_dn_pattern(config: Sequence[MarkedCurve], gram: List[dict]
+                      ) -> None:
     if len(config) < 3:
         raise NotDnPattern("need the two fork curves and at least one more")
-    a, ap = config[0], config[1]
-    cs = config[2:]
-    r = a.r
-    dim = len(a.h)
+    r, dim = config[0].r, len(config[0].h)
     if any(c.r != r or len(c.h) != dim for c in config):
         raise NotDnPattern("curves live under different structures")
-    if _pairing(a.h, ap.h) != 0:
+    if gram[0].get(1, 0) != 0:
         raise NotDnPattern("the two fork curves must be disjoint")
-    for fork in (a, ap):
-        if abs(_pairing(fork.h, cs[0].h)) != 1:
+    for fork in (0, 1):
+        if abs(gram[fork].get(2, 0)) != 1:
             raise NotDnPattern("each fork curve must meet the first chain"
                                " curve exactly once")
-        for j in range(1, len(cs)):
-            if _pairing(fork.h, cs[j].h) != 0:
-                raise NotDnPattern("fork curves meet only the first chain"
-                                   " curve")
-    if len(cs) > 1:
-        _check_chain_pattern(cs)
+        if any(gram[fork].get(j, 0) for j in range(3, len(config))):
+            raise NotDnPattern("fork curves meet only the first chain"
+                               " curve")
+    if len(config) > 3:
+        _check_chain_pattern(config[2:], gram, first=2)
 
 
 def verify_dn(config: Sequence[MarkedCurve],
@@ -410,20 +434,21 @@ def verify_dn(config: Sequence[MarkedCurve],
     boundary twisted n-2 times together with the far boundary curve, for
     n even the fork-side boundary twisted (n-2)/2 times together with the
     two far boundary curves.  Decided, like the chain relation, by one
-    replay on the basis curves, which covers every marked curve.
+    replay per distinct pairing vector of a basis class with the n + 2 or
+    n + 3 curves, which covers every marked curve.
     """
-    _check_dn_pattern(config)
+    curves = (*config, *boundary)
+    pairings = _pairings(curves)
+    _check_dn_pattern(config, pairings[0])
     n = len(config)
     if len(boundary) != (2 if n % 2 else 3):
         raise NotDnPattern("boundary must list the fork-side curve followed"
                            " by the far boundary curve(s)")
     if n % 2:
-        exponent = 2 * n - 2
-        multitwist = [boundary[0]] * (n - 2) + [boundary[1]]
+        exponent, multitwist = 2 * n - 2, [n] * (n - 2) + [n + 1]
     else:
-        exponent = n - 1
-        multitwist = [boundary[0]] * ((n - 2) // 2) + list(boundary[1:])
-    return _relation_holds(config, boundary, exponent, multitwist,
+        exponent, multitwist = n - 1, [n] * ((n - 2) // 2) + [n + 1, n + 2]
+    return _relation_holds(curves, pairings, n, exponent, multitwist,
                            NotDnPattern, disjoint=True)
 
 
@@ -443,7 +468,7 @@ def nested_twist_power_check(config: Sequence[MarkedCurve],
     G divides (2k-1)m.  All equalities are checked as exact matrix
     identities.
     """
-    _check_dn_pattern(config)
+    _check_dn_pattern(config, _pairings(config)[0])
     n = len(config)
     if n % 2 == 0 or n < 5:
         raise NotDnPattern("need an odd configuration with at least one full"

@@ -5,7 +5,8 @@ so that the tests can compare the two: integer matrix products, Bareiss
 determinants, integer solving and GF(2) ranks; the spanning tree of an
 arboreal network's one-complex; isotopic pairs of segment curves; and a
 planar filling criterion that needs no ribbon surface; twist relations
-decided by integer matrix identities plus a replay on chosen test curves;
+decided by integer matrix identities plus a replay on chosen test curves,
+and twist words compared by replaying them on the 2g basis curves;
 mod-2 groups enumerated element by element as bit-packed matrices, with
 form stabilizers found by filtering all of Sp(2g, Z/2); and the exterior-cube
 span closure on dense echelon rows, re-mapping the whole basis every round.
@@ -29,7 +30,7 @@ from vanishingcycles.network import (
     graph_stats,
     intersection_graph,
 )
-from vanishingcycles.spin import twist
+from vanishingcycles.spin import _pairing, twist
 from vanishingcycles.surface import SurfaceError, complement_regions
 from vanishingcycles.symp import (
     _anisotropic_vectors,
@@ -418,6 +419,35 @@ def dn_oracle(config, boundary, tests) -> bool:
         return relation_oracle(config, 2 * n - 2, multitwist, tests)
     multitwist = [boundary[0]] * ((n - 2) // 2) + list(boundary[1:])
     return relation_oracle(config, n - 1, multitwist, tests)
+
+
+def _replay(word, h, phi, repeat=1):
+    """The class and value of (h, phi) after the word to the ``repeat``,
+    rightmost letter first, on plain integers: a letter c sends (h, phi)
+    to (h + <h,c>c, phi + <h,c>phi(c)), and one that h does not meet is
+    skipped."""
+    letters = [(c.h, c.phi) for c in reversed(word)]
+    for _ in range(repeat):
+        for ch, cphi in letters:
+            k = _pairing(h, ch)
+            if k:
+                h = tuple(x + k * y for x, y in zip(h, ch))
+                phi += k * cphi
+    return h, phi
+
+
+def basis_replay_oracle(lhs, repeat, rhs) -> bool:
+    """Whether the word ``lhs`` to the ``repeat`` and the word ``rhs`` move
+    every marked curve alike, by replaying both on each of the 2g basis
+    curves (e_i, 0): the twist rule is linear in (h, phi), so agreement
+    there, class and value mod r, is agreement everywhere."""
+    dim, r = len(lhs[0].h), lhs[0].r
+    for i in range(dim):
+        e = tuple(int(k == i) for k in range(dim))
+        (hu, pu), (hv, pv) = _replay(lhs, e, 0, repeat), _replay(rhs, e, 0)
+        if hu != hv or (pu - pv) % r:
+            return False
+    return True
 
 
 def braid_oracle(a, b) -> bool:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     anisotropic_closure_bits,
+    basis_replay_oracle,
     braid_oracle,
     chain_oracle,
     dn_oracle,
@@ -34,6 +35,8 @@ from vanishingcycles.symp import (
     SympError,
     TooLarge,
     _generated_order,
+    _pairings,
+    _same_action,
     _transvection_perm,
     anisotropic_closure_order,
     apply_word,
@@ -171,6 +174,11 @@ def test_inverse_and_powers_are_exact():
     assert M.inverse() @ M == ident
     assert (M ** -4) @ (M ** 4) == ident
     assert M ** 0 == ident
+    for k in range(-6, 7):          # binary powering: the repeated product
+        want = ident
+        for _ in range(abs(k)):
+            want = want @ (M if k > 0 else M.inverse())
+        assert M ** k == want, k
     assert M.mod(5) == tuple(tuple(x % 5 for x in row) for row in M.rows)
     with pytest.raises(SympError):
         M.mod(0)
@@ -315,8 +323,8 @@ def test_dn_pattern_violations():
     with pytest.raises(NotDnPattern, match="^boundary classes must sum to"
                                            " zero$"):
         verify_dn(config, [mc(bnd[0]), mc(bnd[0])])      # nonzero sum
-    with pytest.raises(NotDnPattern, match="^boundary curves are disjoint"
-                                           " from the configuration$"):
+    with pytest.raises(NotDnPattern, match="^boundary curves must be"
+                                           " disjoint from the configuration$"):
         verify_dn(config, [mc(cfg[2]), mc(neg(cfg[2]))])  # meets the chain
     with pytest.raises(NotDnPattern, match="^boundary curves live under"
                                            " different structures$"):
@@ -380,6 +388,114 @@ def test_relations_match_the_matrix_oracle():
                 assert got == dn_oracle(config, boundary, tests), (n, r)
                 seen.add(got)
     assert seen == {True, False}
+
+
+# --- the pairing-vector replay against the basis replay -------------------------
+
+def same_action(lhs, repeat, rhs):
+    """:func:`_same_action` on words of marked curves, each distinct curve
+    indexed once, so that a letter of both words has one index."""
+    curves = list(dict.fromkeys((*lhs, *rhs)))
+    index = {c: i for i, c in enumerate(curves)}
+    return _same_action(curves, _pairings(curves), [index[c] for c in lhs],
+                        repeat, [index[c] for c in rhs])
+
+
+@st.composite
+def word_pairs(draw):
+    """A word, a power and a second word over a pool of sparse curves that
+    holds a class and its negative, the zero class and one class under two
+    values.  The second word is either random, sharing a letter with the
+    first, or the power written out and then edited: a letter reversed or a
+    zero-class letter put in (neither moves any curve), a value changed or
+    a letter dropped."""
+    dim, r = 2 * draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    value = st.integers(0, r - 1)
+
+    def sparse():
+        h = [0] * dim
+        for k in draw(st.lists(st.integers(0, dim - 1), min_size=1,
+                               max_size=3)):
+            h[k] = draw(st.integers(-2, 2))
+        return mc(h, draw(value), r)
+
+    first = sparse()
+    pool = [first, first.reverse(), mc(neg(first.h), draw(value), r),
+            mc((0,) * dim, draw(value), r), mc(first.h, first.phi + 1, r)]
+    pool += [sparse() for _ in range(draw(st.integers(0, 4)))]
+    letter = st.sampled_from(pool)
+    lhs = draw(st.lists(letter, min_size=1, max_size=5))
+    repeat = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        rhs = draw(st.lists(letter, max_size=8))
+        rhs.insert(draw(st.integers(0, len(rhs))), draw(st.sampled_from(lhs)))
+        return lhs, repeat, rhs
+    rhs = lhs * repeat
+    for edit in draw(st.lists(st.sampled_from(
+            ("reverse", "zero", "value", "drop")), max_size=2)):
+        at = draw(st.integers(0, len(rhs) - 1)) if rhs else 0
+        if edit == "zero":
+            rhs.insert(at, mc((0,) * dim, draw(value), r))
+        elif rhs and edit == "reverse":
+            rhs[at] = rhs[at].reverse()
+        elif rhs and edit == "value":
+            rhs[at] = mc(rhs[at].h, rhs[at].phi + 1, r)
+        elif rhs:
+            del rhs[at]
+    return lhs, repeat, rhs
+
+
+def test_same_action_matches_the_basis_replay():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_pairs())
+    def check(case):
+        lhs, repeat, rhs = case
+        got = same_action(lhs, repeat, rhs)
+        assert got == basis_replay_oracle(lhs, repeat, rhs)
+        seen.add(got)
+
+    check()
+    assert seen == {True, False}
+
+
+def moved(groups, rng, r):
+    """The curves under a seeded product of twists about basis classes and
+    the classes x_i + x_{i+1}, values kept."""
+    dim = len(groups[0][0].h)
+    letters = [mc(basis(dim, i), 0, r) for i in range(dim)] + \
+              [mc(add(xv(dim, i), xv(dim, i + 1)), 0, r)
+               for i in range(1, dim // 2)]
+    word = [rng.choice(letters) for _ in range(2 * dim)]
+    return [[apply_word(word, c) for c in group] for group in groups]
+
+
+def test_relations_match_the_basis_replay_at_benchmark_sizes():
+    rng = random.Random(97)
+    seen = set()
+    cases = [(verify_dn, model_dn, n) for n in range(3, 22)] + \
+            [(verify_chain, model_chain, n) for n in range(2, 11)]
+    for r in (2, 3, 4, 6):
+        for verify, model, n in cases:
+            curves, boundary = moved(model(n, r), rng, r)
+            k = rng.randrange(len(boundary))
+            shifted = list(boundary)
+            shifted[k] = mc(boundary[k].h, boundary[k].phi + 1, r)
+            for bnd in (boundary, shifted):
+                got = verify(curves, bnd)
+                if verify is verify_chain:
+                    exponent = n + 1 if n % 2 else 2 * n + 2
+                    want = basis_replay_oracle(curves, exponent, bnd)
+                elif n % 2:
+                    want = basis_replay_oracle(
+                        curves, 2 * n - 2, [bnd[0]] * (n - 2) + [bnd[1]])
+                else:
+                    want = basis_replay_oracle(
+                        curves, n - 1, [bnd[0]] * ((n - 2) // 2) + bnd[1:])
+                assert got == want, (verify.__name__, n, r, bnd is shifted)
+                seen.add((bnd is shifted, got))
+    assert seen == {(False, True), (True, True), (True, False)}
 
 
 # --- certified powers of the nested boundary twists ------------------------------
