@@ -459,10 +459,11 @@ def graph_stats(G: IntersectionGraph):
     V = len(G.vertices)
     if V == 0:
         return (False, 0, False)
-    parent = {v: v for v in G.vertices}
+    index = {v: i for i, v in enumerate(G.vertices)}
+    parent = list(range(V))
     for a, b in G.edges:
-        _union(parent, a, b)
-    components = len({_find(parent, v) for v in G.vertices})
+        _union(parent, index[a], index[b])
+    components = sum(parent[i] == i for i in range(V))
     betti = len(G.edges) - V + components
     connected = components == 1
     return (connected, betti, connected and betti == 0)
@@ -517,7 +518,12 @@ def curve_crossings(net: Network, curve: CurveId) -> list:
 
 def curve_arcs(net: Network, curve: CurveId) -> list:
     """The arcs into which its crossings divide ``curve``."""
-    crossings = curve_crossings(net, curve)
+    return arcs_along(curve, curve_crossings(net, curve))
+
+
+def arcs_along(curve: CurveId, crossings: list) -> list:
+    """The arcs into which ``crossings``, the crossings of ``curve`` in its
+    cyclic order, divide it."""
     if not crossings:
         return [Arc(curve, 0, None, None)]
     k = len(crossings)

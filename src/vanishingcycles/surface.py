@@ -9,6 +9,15 @@ cyclic dart order at each vertex encodes the embedding, so Euler
 characteristic, faces and complementary regions are exact combinatorial
 computations.
 
+The ribbon graph is laid out on integers.  Arcs are numbered in network
+curve order (``Network.curve_list``), each curve's arcs in index order, and
+arc ``i`` owns two darts: ``2i`` leaves its start and ``2i + 1`` its end, so
+the partner of dart ``d`` is ``d ^ 1``.  A face is the orbit of a dart under
+"step to the partner, then to the next dart in the rotation there"; faces
+are traced from the least unvisited dart, and since the numbering follows
+curve order, sorting the darts by (curve, arc index, end) gives the same
+order: faces come out sorted by their least dart with no sort.
+
 Homology is generated by the network curves themselves: their pairing is the
 crossing-sign matrix below.  One symplectic reduction of that matrix splits
 the lattice of curve combinations into pairs of pairing d and a radical;
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .intlinalg import standard_j, support, symplectic_reduction
 from .lattice import Polygon, Segment, genus
@@ -42,11 +51,9 @@ from .network import (
     NetworkError,
     _find,
     _union,
+    arcs_along,
     check_network_invariants,
-    crossing_sort_key,
-    curve_arcs,
     curve_crossings,
-    curve_sort_key,
 )
 
 
@@ -78,36 +85,22 @@ Vertex = Union[Crossing, PhantomVertex]
 Dart = Tuple[Arc, int]  # (arc, 0) leaves arc.start, (arc, 1) leaves arc.end
 
 
-def _vertex_key(v: Vertex):
-    if isinstance(v, PhantomVertex):
-        return (2, curve_sort_key(v.curve))
-    return (0,) + crossing_sort_key(v)
-
-
-def _arc_key(a: Arc):
-    return (curve_sort_key(a.curve), a.index)
-
-
-def _dart_key(d: Dart):
-    return (_arc_key(d[0]), d[1])
-
-
-def dart_partner(d: Dart) -> Dart:
-    return (d[0], 1 - d[1])
-
-
-def dart_vertex(d: Dart) -> Vertex:
-    """Vertex a dart is attached to (the one it leaves when traversed)."""
-    arc, end = d
-    x = arc.start if end == 0 else arc.end
-    if x is None:
-        return PhantomVertex(arc.curve)
-    return x
-
-
 @dataclass
 class RibbonSurface:
-    """Rotation system of the doubled surface cut out by a network."""
+    """Rotation system of the doubled surface cut out by a network.
+
+    The public fields hold curves, crossings and arcs; a dart there is
+    ``(arc, end)``.  They are read off an integer layout, which the
+    computations here use: ``curves`` in network order, ``arc_curve`` the
+    curve index of arc ``i``, ``vertex_curves`` the curve indices meeting
+    at each vertex (two at a crossing, one at a phantom vertex),
+    ``vertex_darts`` each vertex's rotation as integer darts, and
+    ``dart_face`` the face each integer dart runs along.  Dart ``2i`` is
+    ``(arcs[i], 0)``, dart ``2i + 1`` is ``(arcs[i], 1)``, and ``d ^ 1`` is
+    the partner of ``d``.  Vertices list the crossings circle by circle,
+    each circle's by segment curve, then the phantom vertices in curve
+    order.
+    """
 
     network: Network
     vertices: Tuple[Vertex, ...]
@@ -115,14 +108,17 @@ class RibbonSurface:
     rotation: Dict[Vertex, Tuple[Dart, ...]]
     faces: Tuple[Tuple[Dart, ...], ...]
     curve_arcs: Dict[CurveId, Tuple[Arc, ...]]
+    curves: Tuple[CurveId, ...] = field(repr=False, compare=False)
+    arc_curve: Tuple[int, ...] = field(repr=False, compare=False)
+    vertex_curves: Tuple[Tuple[int, ...], ...] = field(repr=False, compare=False)
+    vertex_darts: Tuple[Tuple[int, ...], ...] = field(repr=False, compare=False)
+    dart_face: Tuple[int, ...] = field(repr=False, compare=False)
     # derived facts, each computed on first use
     _homology: Optional["IntersectionForm"] = field(
         default=None, init=False, repr=False, compare=False)
     _components: Optional[Tuple[FrozenSet[CurveId], ...]] = field(
         default=None, init=False, repr=False, compare=False)
     _fills: Optional[bool] = field(
-        default=None, init=False, repr=False, compare=False)
-    _face_of_dart: Optional[Dict[Dart, int]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def euler(self) -> int:
@@ -131,16 +127,15 @@ class RibbonSurface:
         return len(self.vertices) - len(self.arcs) + len(self.faces)
 
     def components(self) -> List[FrozenSet[CurveId]]:
-        if self._components is not None:
-            return list(self._components)
-        parent = {c: c for c in self.network.curve_list()}
-        for v in self.vertices:
-            if isinstance(v, Crossing):
-                _union(parent, v.a, v.b)
-        groups: Dict[CurveId, set] = {}
-        for c in parent:
-            groups.setdefault(_find(parent, c), set()).add(c)
-        self._components = tuple(frozenset(g) for g in groups.values())
+        if self._components is None:
+            parent = list(range(len(self.curves)))
+            for at in self.vertex_curves:
+                if len(at) == 2:
+                    _union(parent, *at)
+            groups: Dict[int, List[CurveId]] = {}
+            for i, c in enumerate(self.curves):
+                groups.setdefault(_find(parent, i), []).append(c)
+            self._components = tuple(frozenset(g) for g in groups.values())
         return list(self._components)
 
     def is_connected(self) -> bool:
@@ -160,14 +155,6 @@ class RibbonSurface:
         chi = self.euler()
         assert chi % 2 == 0 and chi <= 2
         return (2 - chi) // 2
-
-    def face_of_dart(self) -> Dict[Dart, int]:
-        """The index of the face each dart runs along; the one map is shared
-        by every caller and must not be changed."""
-        if self._face_of_dart is None:
-            self._face_of_dart = {d: i for i, walk in enumerate(self.faces)
-                                  for d in walk}
-        return self._face_of_dart
 
 
 @dataclass
@@ -214,75 +201,83 @@ def inflate(P: Polygon, net: Network) -> RibbonSurface:
     if genus(P) != genus(net.polygon):
         raise SurfaceError("network does not belong to this polygon")
 
-    arcs_by_curve: Dict[CurveId, Tuple[Arc, ...]] = {}
-    for c in net.curve_list():
-        arcs_by_curve[c] = tuple(curve_arcs(net, c))
+    curves = tuple(net.curve_list())
+    index = {c: i for i, c in enumerate(curves)}
+    crossings = [curve_crossings(net, c) for c in curves]
+    first = []  # the index of each curve's first arc
+    arc_curve = []
+    for i, xs in enumerate(crossings):
+        first.append(len(arc_curve))
+        arc_curve += [i] * max(len(xs), 1)
 
-    rotation: Dict[Vertex, Tuple[Dart, ...]] = {}
-    for a in net.a_curves():
-        xs = curve_crossings(net, a)
-        arcs = arcs_by_curve[a]
+    vertices, vertex_curves, vertex_darts = [], [], []
+    phantoms = []
+    for i, (c, xs) in enumerate(zip(curves, crossings)):
+        a0 = first[i]
         if not xs:
-            loop = arcs[0]
-            rotation[PhantomVertex(a)] = ((loop, 0), (loop, 1))
+            phantoms.append((PhantomVertex(c), (i,), (2 * a0, 2 * a0 + 1)))
             continue
+        if isinstance(c, BCurve):
+            continue  # its crossings are listed with their circles
         k = len(xs)
-        for i, x in enumerate(xs):
-            a_next = (arcs[i], 0)
-            a_prev = (arcs[i - 1], 1)
-            b = x.b
-            bxs = curve_crossings(net, b)
-            barcs = arcs_by_curve[b]
-            if len(bxs) == 2:
-                if x == bxs[0]:
-                    b_front, b_back = (barcs[0], 0), (barcs[1], 1)
-                else:
-                    b_front, b_back = (barcs[0], 1), (barcs[1], 0)
-            elif x.a.point == b.segment.a:
-                # lone crossing at the start of the segment: the curve
-                # departs on the front sheet and returns on the back
-                b_front, b_back = (barcs[0], 0), (barcs[0], 1)
+        js = [index[x.b] for x in xs]
+        for t in sorted(range(k), key=js.__getitem__):
+            x, j = xs[t], js[t]
+            b0, b1 = first[j], first[j] + len(crossings[j]) - 1
+            if x.a.point == x.b.segment.a:
+                # the segment curve departs from its first crossing on the
+                # front sheet and returns to it on the back
+                b_front, b_back = 2 * b0, 2 * b1 + 1
             else:
-                # lone crossing at the far end: it arrives on the front
-                b_front, b_back = (barcs[0], 1), (barcs[0], 0)
+                # it arrives at its last crossing on the front sheet
+                b_front, b_back = 2 * b0 + 1, 2 * b1
             # counterclockwise in the front copy: segment out, circle
             # forward, segment back-copy, circle backward
-            rotation[x] = (b_front, a_next, b_back, a_prev)
-    for b in net.b_curves():
-        if not curve_crossings(net, b):
-            loop = arcs_by_curve[b][0]
-            rotation[PhantomVertex(b)] = ((loop, 0), (loop, 1))
+            vertices.append(x)
+            vertex_curves.append((i, j))
+            vertex_darts.append((b_front, 2 * (a0 + t), b_back,
+                                 2 * (a0 + (t - 1) % k) + 1))
+    for v, at, darts in phantoms:
+        vertices.append(v)
+        vertex_curves.append(at)
+        vertex_darts.append(darts)
 
-    vertices = tuple(sorted(rotation, key=_vertex_key))
-    arcs = tuple(a for c in net.curve_list() for a in arcs_by_curve[c])
-    faces = _trace_faces(rotation)
-    surf = RibbonSurface(net, vertices, arcs, rotation, faces, arcs_by_curve)
+    succ = [0] * (2 * len(arc_curve))
+    for darts in vertex_darts:
+        for t, d in enumerate(darts):
+            succ[d] = darts[(t + 1) % len(darts)]
+    dart_face = [-1] * len(succ)
+    int_faces = []
+    for d0 in range(len(succ)):
+        d, walk = d0, []
+        while dart_face[d] < 0:
+            dart_face[d] = len(int_faces)
+            walk.append(d)
+            d = succ[d ^ 1]
+        if walk:
+            int_faces.append(walk)
+
+    arcs = tuple(a for c, xs in zip(curves, crossings) for a in arcs_along(c, xs))
+    darts = [(a, end) for a in arcs for end in (0, 1)]
+    surf = RibbonSurface(
+        network=net,
+        vertices=tuple(vertices),
+        arcs=arcs,
+        rotation={v: tuple(darts[d] for d in ds)
+                  for v, ds in zip(vertices, vertex_darts)},
+        faces=tuple(tuple(darts[d] for d in walk) for walk in int_faces),
+        curve_arcs={c: arcs[first[i]:first[i] + max(len(crossings[i]), 1)]
+                    for i, c in enumerate(curves)},
+        curves=curves,
+        arc_curve=tuple(arc_curve),
+        vertex_curves=tuple(vertex_curves),
+        vertex_darts=tuple(vertex_darts),
+        dart_face=tuple(dart_face),
+    )
     if arcs:
         chi = surf.euler()
         assert chi % 2 == 0 and chi <= 2 * len(surf.components())
     return surf
-
-
-def _trace_faces(rotation: Dict[Vertex, Tuple[Dart, ...]]):
-    succ: Dict[Dart, Dart] = {}
-    for darts in rotation.values():
-        for i, d in enumerate(darts):
-            succ[d] = darts[(i + 1) % len(darts)]
-    faces = []
-    seen = set()
-    for d0 in sorted(succ, key=_dart_key):
-        if d0 in seen:
-            continue
-        walk = []
-        d = d0
-        while True:
-            walk.append(d)
-            seen.add(d)
-            d = succ[dart_partner(d)]
-            if d == d0:
-                break
-        faces.append(tuple(walk))
-    return tuple(faces)
 
 
 def is_filling(P: Polygon, net: Network) -> bool:
@@ -292,18 +287,16 @@ def is_filling(P: Polygon, net: Network) -> bool:
 
 # --- homology ----------------------------------------------------------------
 
-def _crossing_signs(curves: Sequence[CurveId],
-                   vertices: Sequence[Vertex]) -> List[List[int]]:
+def _crossing_signs(S: RibbonSurface) -> List[List[int]]:
     """Pairing matrix of the network curves, read off their crossings.
 
     A(v).B(s) = +1 where s leaves v, -1 where s arrives at v; every other
     entry (no common crossing, or two curves of one family) is 0.
     """
-    index = {c: i for i, c in enumerate(curves)}
-    M = [[0] * len(curves) for _ in curves]
-    for x in vertices:
-        if isinstance(x, Crossing):
-            i, j = index[x.a], index[x.b]
+    M = [[0] * len(S.curves) for _ in S.curves]
+    for x, at in zip(S.vertices, S.vertex_curves):
+        if len(at) == 2:
+            i, j = at
             sign = 1 if x.b.segment.a == x.a.point else -1
             M[i][j], M[j][i] = sign, -sign
     return M
@@ -329,8 +322,8 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
         raise EmptySurface("no homology for the empty surface")
     if not S.is_connected():
         raise NotClosedSurface("surface is not connected")
-    curves = tuple(S.network.curve_list())
-    G = _crossing_signs(curves, S.vertices)
+    curves = S.curves
+    G = _crossing_signs(S)
     n = len(curves)
 
     pairs, _ = symplectic_reduction([support(row) for row in G])
@@ -382,59 +375,53 @@ def curve_class(S: RibbonSurface, c: CurveId) -> Tuple[int, ...]:
 def complement_regions(S: RibbonSurface, cut) -> List[Region]:
     """Regions of the closed surface cut along ``cut`` only: ribbon faces
     merged across every arc of a curve outside ``cut``."""
-    cut = set(cut)
+    index = {c: i for i, c in enumerate(S.curves)}
+    kept = [False] * len(S.curves)
     for c in cut:
-        if c not in S.curve_arcs:
+        if c not in index:
             raise UnknownCurve(f"curve {c} is not on this surface")
+        kept[index[c]] = True
     if not S.arcs:
         raise EmptySurface("no regions on the empty surface")
     if not S.fills():
         raise NotClosedSurface("region bookkeeping needs a filling network")
 
-    fmap = S.face_of_dart()
+    face = S.dart_face
     parent = list(range(len(S.faces)))
-    deleted_arcs = [a for a in S.arcs if a.curve not in cut]
-    for a in deleted_arcs:
-        _union(parent, fmap[(a, 0)], fmap[(a, 1)])
+    for i, c in enumerate(S.arc_curve):
+        if not kept[c]:
+            _union(parent, face[2 * i], face[2 * i + 1])
 
-    root = [_find(parent, i) for i in range(len(S.faces))]
+    root = [_find(parent, f) for f in range(len(S.faces))]
     groups: Dict[int, List[int]] = {}
-    for i, r in enumerate(root):
-        groups.setdefault(r, []).append(i)
+    for f, r in enumerate(root):
+        groups.setdefault(r, []).append(f)
 
-    n_arcs: Dict[int, int] = {r: 0 for r in groups}
+    n_arcs = dict.fromkeys(groups, 0)
+    n_verts = dict.fromkeys(groups, 0)
     internal: Dict[int, set] = {r: set() for r in groups}
-    for a in deleted_arcs:
-        r = root[fmap[(a, 0)]]
-        n_arcs[r] += 1
-        internal[r].add(a.curve)
-    n_verts: Dict[int, int] = {r: 0 for r in groups}
-    for v in S.vertices:
-        if isinstance(v, PhantomVertex):
-            dead = v.curve not in cut
-            darts = S.rotation[v]
-        else:
-            dead = v.a not in cut and v.b not in cut
-            darts = S.rotation[v]
-        if dead:
-            n_verts[root[fmap[darts[0]]]] += 1
     boundary: Dict[int, set] = {r: set() for r in groups}
-    for a in S.arcs:
-        if a.curve in cut:
-            for end in (0, 1):
-                boundary[root[fmap[(a, end)]]].add(a.curve)
+    for i, c in enumerate(S.arc_curve):
+        if kept[c]:
+            boundary[root[face[2 * i]]].add(c)
+            boundary[root[face[2 * i + 1]]].add(c)
+        else:
+            r = root[face[2 * i]]
+            n_arcs[r] += 1
+            internal[r].add(c)
+    for at, darts in zip(S.vertex_curves, S.vertex_darts):
+        if not any(kept[c] for c in at):
+            n_verts[root[face[darts[0]]]] += 1
 
-    out = []
-    for r, fs in sorted(groups.items()):
-        out.append(Region(
-            faces=frozenset(fs),
-            chi=len(fs) - n_arcs[r] + n_verts[r],
-            boundary_curves=frozenset(boundary[r]),
-            internal_curves=frozenset(internal[r]),
-            internal_arcs=n_arcs[r],
-            internal_vertices=n_verts[r],
-        ))
-    return out
+    curves = S.curves
+    return [Region(
+        faces=frozenset(fs),
+        chi=len(fs) - n_arcs[r] + n_verts[r],
+        boundary_curves=frozenset(curves[c] for c in boundary[r]),
+        internal_curves=frozenset(curves[c] for c in internal[r]),
+        internal_arcs=n_arcs[r],
+        internal_vertices=n_verts[r],
+    ) for r, fs in sorted(groups.items())]
 
 
 def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
@@ -447,17 +434,8 @@ def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
     annulus with core b.
     """
     b = BCurve(b_segment)
-    clauses = dict(nprime.clauses)
-    if b in clauses:
-        return False
-    clauses[b] = 0
-    for p in b_segment.endpoints():
-        if nprime.polygon.contains(p, strict=True):
-            clauses.setdefault(ACurve(p), 0)
-    try:
-        completed = replace(nprime, clauses=clauses)
-        check_network_invariants(completed)
-    except NetworkError:
+    completed = _completed_network(nprime, b)
+    if completed is None:
         return False
     S = inflate(P, completed)
     if not S.fills():
@@ -476,3 +454,21 @@ def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
     if len(annuli2) != 1 or any(r.chi not in (0, 1) for r in without_b):
         return False
     return b in annuli2[0].internal_curves
+
+
+def _completed_network(nprime: Network, b: BCurve) -> Optional[Network]:
+    """``nprime`` plus b plus the circles at b's interior endpoints, or None
+    when b is in ``nprime`` already or crosses one of its curves badly."""
+    clauses = dict(nprime.clauses)
+    if b in clauses:
+        return None
+    clauses[b] = 0
+    for p in b.segment.endpoints():
+        if nprime.polygon.contains(p, strict=True):
+            clauses.setdefault(ACurve(p), 0)
+    completed = replace(nprime, clauses=clauses)
+    try:
+        check_network_invariants(completed)
+    except NetworkError:
+        return None
+    return completed

@@ -257,6 +257,8 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         "network_betti": betti,
         "euler": S.euler(),
         "faces": len(S.faces),
+        "arcs": len(S.arcs),
+        "vertices": len(S.vertices),
     })
 
     hypotheses["H1"] = all(

@@ -1,6 +1,11 @@
-"""Ribbon-graph pairing of closed dart paths: an independent oracle for the
-crossing-sign matrix that ``surface.homology_basis`` reads off the network.
+"""Oracles for the ribbon surface, computed on its object-valued fields.
 
+Rotation system, faces and complementary regions: built over dicts and
+sets keyed by crossings and by darts ``(arc, end)``, independently of the
+integer dart layout that ``surface.inflate`` computes them on.
+
+Ribbon-graph pairing of closed dart paths: an independent oracle for the
+crossing-sign matrix that ``surface.homology_basis`` reads off the network.
 Contracting a spanning tree of the ribbon graph leaves a single vertex (a
 rose) whose cyclic dart order is spliced from the rotation system.  Every
 non-tree arc ("chord") closes a fundamental loop, and two chord loops pair by
@@ -8,7 +13,142 @@ how their darts interleave around the rose.  A closed dart path pairs through
 its signed count of chord traversals.
 """
 
-from vanishingcycles.surface import dart_vertex
+from vanishingcycles.network import (
+    _find,
+    _union,
+    crossing_sort_key,
+    curve_arcs,
+    curve_crossings,
+    curve_sort_key,
+)
+from vanishingcycles.surface import PhantomVertex, Region
+
+
+def vertex_key(v):
+    if isinstance(v, PhantomVertex):
+        return (2, curve_sort_key(v.curve))
+    return (0,) + crossing_sort_key(v)
+
+
+def dart_key(d):
+    arc, end = d
+    return (curve_sort_key(arc.curve), arc.index, end)
+
+
+def dart_partner(d):
+    return (d[0], 1 - d[1])
+
+
+def dart_vertex(d):
+    """Vertex a dart is attached to (the one it leaves when traversed)."""
+    arc, end = d
+    x = arc.start if end == 0 else arc.end
+    if x is None:
+        return PhantomVertex(arc.curve)
+    return x
+
+
+def rotation_system(net):
+    """The cyclic dart order at every vertex, ``{vertex: darts}``, built from
+    each curve's arcs and crossings."""
+    arcs_of = {c: curve_arcs(net, c) for c in net.curve_list()}
+    rotation = {}
+    for a in net.a_curves():
+        xs = curve_crossings(net, a)
+        arcs = arcs_of[a]
+        if not xs:
+            rotation[PhantomVertex(a)] = ((arcs[0], 0), (arcs[0], 1))
+            continue
+        for i, x in enumerate(xs):
+            b = x.b
+            bxs = curve_crossings(net, b)
+            barcs = arcs_of[b]
+            if len(bxs) == 2:
+                if x == bxs[0]:
+                    b_front, b_back = (barcs[0], 0), (barcs[1], 1)
+                else:
+                    b_front, b_back = (barcs[0], 1), (barcs[1], 0)
+            elif x.a.point == b.segment.a:
+                b_front, b_back = (barcs[0], 0), (barcs[0], 1)
+            else:
+                b_front, b_back = (barcs[0], 1), (barcs[0], 0)
+            rotation[x] = (b_front, (arcs[i], 0), b_back, (arcs[i - 1], 1))
+    for b in net.b_curves():
+        if not curve_crossings(net, b):
+            loop = arcs_of[b][0]
+            rotation[PhantomVertex(b)] = ((loop, 0), (loop, 1))
+    return rotation
+
+
+def trace_faces(rotation):
+    """Faces of a rotation system ``{vertex: darts}``, each traced from its
+    least dart under ``dart_key``, in that order."""
+    succ = {}
+    for darts in rotation.values():
+        for i, d in enumerate(darts):
+            succ[d] = darts[(i + 1) % len(darts)]
+    faces = []
+    seen = set()
+    for d0 in sorted(succ, key=dart_key):
+        if d0 in seen:
+            continue
+        walk = []
+        d = d0
+        while True:
+            walk.append(d)
+            seen.add(d)
+            d = succ[dart_partner(d)]
+            if d == d0:
+                break
+        faces.append(tuple(walk))
+    return tuple(faces)
+
+
+def face_of_dart(S):
+    return {d: i for i, walk in enumerate(S.faces) for d in walk}
+
+
+def complement_regions(S, cut):
+    """Regions of a filling surface cut along ``cut``: faces merged across
+    every arc of a curve outside ``cut``, read off the arcs, the rotation
+    and the faces of ``S``."""
+    cut = set(cut)
+    fmap = face_of_dart(S)
+    parent = list(range(len(S.faces)))
+    deleted_arcs = [a for a in S.arcs if a.curve not in cut]
+    for a in deleted_arcs:
+        _union(parent, fmap[(a, 0)], fmap[(a, 1)])
+
+    root = [_find(parent, i) for i in range(len(S.faces))]
+    groups = {}
+    for i, r in enumerate(root):
+        groups.setdefault(r, []).append(i)
+
+    n_arcs = {r: 0 for r in groups}
+    internal = {r: set() for r in groups}
+    for a in deleted_arcs:
+        r = root[fmap[(a, 0)]]
+        n_arcs[r] += 1
+        internal[r].add(a.curve)
+    n_verts = {r: 0 for r in groups}
+    for v in S.vertices:
+        if isinstance(v, PhantomVertex):
+            dead = v.curve not in cut
+        else:
+            dead = v.a not in cut and v.b not in cut
+        if dead:
+            n_verts[root[fmap[S.rotation[v][0]]]] += 1
+    boundary = {r: set() for r in groups}
+    for a in S.arcs:
+        if a.curve in cut:
+            for end in (0, 1):
+                boundary[root[fmap[(a, end)]]].add(a.curve)
+
+    return [Region(faces=frozenset(fs), chi=len(fs) - n_arcs[r] + n_verts[r],
+                   boundary_curves=frozenset(boundary[r]),
+                   internal_curves=frozenset(internal[r]),
+                   internal_arcs=n_arcs[r], internal_vertices=n_verts[r])
+            for r, fs in sorted(groups.items())]
 
 
 def spanning_tree(S):

@@ -6,15 +6,26 @@ from oracles import (
     planar_filling_oracle,
     spanning_tree_correspondence,
 )
-from ribbon_oracle import chord_gram, curve_pairing
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from ribbon_oracle import (
+    chord_gram,
+    curve_pairing,
+    rotation_system,
+    trace_faces,
+    vertex_key,
+)
+from ribbon_oracle import complement_regions as oracle_regions
 
 from vanishingcycles.intlinalg import smith_normal_form, standard_j
 from vanishingcycles.lattice import IDENTITY_MAP, Polygon, Segment
 from vanishingcycles.network import (
     ACurve,
     BCurve,
+    ConfigurationUnavailable,
     Network,
     build_network,
+    dn_configuration,
     graph_stats,
     intersection_graph,
     subnetwork_nprime,
@@ -26,6 +37,7 @@ from vanishingcycles.surface import (
     PhantomVertex,
     SurfaceError,
     UnknownCurve,
+    _completed_network,
     complement_regions,
     curve_class,
     homology_basis,
@@ -181,7 +193,6 @@ def test_surfaces_compare_equal_after_homology():
     assert S1 == S2
     homology_basis(S1)
     S1.components()
-    S1.face_of_dart()
     assert S1 == S2
 
 
@@ -365,31 +376,99 @@ def test_one_line_of_segments_does_not_fill():
     assert not planar_filling_oracle(net.polygon, net)
 
 
+ADMISSIBLE_BASES = [
+    ((0, 0), (4, 0), (0, 4)),
+    ((0, 0), (5, 0), (0, 5)),
+    ((0, 0), (6, 0), (0, 6)),
+    ((0, 0), (7, 0), (0, 7)),
+    ((0, 0), (3, 0), (3, 3), (0, 3)),
+    ((0, 0), (4, 0), (4, 4), (0, 4)),
+    ((0, 0), (5, 0), (5, 3), (0, 3)),
+    ((0, 0), (3, 0), (3, 5), (0, 5)),
+    ((0, 0), (5, 0), (5, 5), (0, 5)),
+    ((0, 0), (6, 0), (6, 4), (0, 4)),
+]
+
+
+def sheared(base, p, q, tx, ty):
+    verts = []
+    for x, y in base:
+        x1, y1 = x + p * y, y  # shear, then shear, then translate
+        verts.append((x1 + tx, y1 + q * x1 + ty))
+    return Polygon(tuple(verts))
+
+
 def test_oracle_agrees_on_random_admissible_polygons():
-    bases = [
-        ((0, 0), (4, 0), (0, 4)),
-        ((0, 0), (5, 0), (0, 5)),
-        ((0, 0), (6, 0), (0, 6)),
-        ((0, 0), (7, 0), (0, 7)),
-        ((0, 0), (3, 0), (3, 3), (0, 3)),
-        ((0, 0), (4, 0), (4, 4), (0, 4)),
-        ((0, 0), (5, 0), (5, 3), (0, 3)),
-        ((0, 0), (3, 0), (3, 5), (0, 5)),
-        ((0, 0), (5, 0), (5, 5), (0, 5)),
-        ((0, 0), (6, 0), (6, 4), (0, 4)),
-    ]
     rng = random.Random(20260814)
     for _ in range(26):
-        base = bases[rng.randrange(len(bases))]
-        p, q = rng.randint(-2, 2), rng.randint(-2, 2)
-        tx, ty = rng.randint(-4, 4), rng.randint(-4, 4)
-        verts = []
-        for x, y in base:
-            x1, y1 = x + p * y, y  # shear, then shear, then translate
-            verts.append((x1 + tx, y1 + q * x1 + ty))
-        P = Polygon(tuple(verts))
+        base = ADMISSIBLE_BASES[rng.randrange(len(ADMISSIBLE_BASES))]
+        P = sheared(base, rng.randint(-2, 2), rng.randint(-2, 2),
+                    rng.randint(-4, 4), rng.randint(-4, 4))
         net = build_network(P)
         assert is_filling(P, net) == planar_filling_oracle(P, net) is True
+
+
+# --- the integer layout against the object-keyed oracle -----------------------
+
+PIPELINE_FAMILIES = {
+    "triangle7": Polygon(((0, 0), (7, 0), (0, 7))),
+    "triangle8": Polygon(((0, 0), (8, 0), (0, 8))),
+    "square5": Polygon(((0, 0), (5, 0), (5, 5), (0, 5))),
+    "rectangle7x4": Polygon(((0, 0), (7, 0), (7, 4), (0, 4))),
+}
+
+
+def surfaces_of(P, rng):
+    """The standard network's surface, the completed network's surface
+    that ``relative_filling`` decides on, and a random subnetwork's."""
+    net = build_network(P)
+    nets = [net]
+    try:
+        dn = dn_configuration(net)
+    except ConfigurationUnavailable:
+        pass
+    else:
+        completed = _completed_network(subnetwork_nprime(net), BCurve(dn.b_segment))
+        assert completed is not None
+        nets.append(completed)
+    for c in net.curve_list():
+        if rng.random() < 0.3:
+            net = net.without(c)
+    nets.append(net)
+    return [inflate(P, n) for n in nets]
+
+
+def assert_layout_matches_oracle(S, rng):
+    assert S.rotation == rotation_system(S.network)
+    assert S.vertices == tuple(sorted(S.rotation, key=vertex_key))
+    assert S.faces == trace_faces(S.rotation)
+    curves = list(S.network.curve_list())
+    cuts = [[], all_a(S.network), all_b(S.network), curves]
+    cuts += [[c for c in curves if rng.random() < 0.5] for _ in range(4)]
+    for cut in cuts:
+        if S.fills():
+            assert complement_regions(S, cut) == oracle_regions(S, cut), cut
+        else:
+            with pytest.raises((NotClosedSurface, EmptySurface)):
+                complement_regions(S, cut)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ADMISSIBLE_BASES), st.integers(-2, 2), st.integers(-2, 2),
+       st.integers(-4, 4), st.integers(-4, 4), st.randoms(use_true_random=False))
+def test_layout_matches_the_oracle_on_random_admissible_polygons(
+        base, p, q, tx, ty, rng):
+    for S in surfaces_of(sheared(base, p, q, tx, ty), rng):
+        assert_layout_matches_oracle(S, rng)
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_FAMILIES))
+def test_layout_matches_the_oracle_on_the_pipeline_families(name):
+    rng = random.Random(name)
+    surfaces = surfaces_of(PIPELINE_FAMILIES[name], rng)
+    assert len(surfaces) == 3 and all(S.fills() for S in surfaces[:2])
+    for S in surfaces:
+        assert_layout_matches_oracle(S, rng)
 
 
 # --- complement regions --------------------------------------------------------

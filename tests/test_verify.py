@@ -106,6 +106,7 @@ def test_side6_network_evidence(side6_report):
     assert ev["reduced_tree"] and ev["reduced_betti"] == 0
     assert "network_fills" not in ev and ev["relative_filling"]
     assert ev["euler"] == -18 and ev["faces"] == 10
+    assert ev["arcs"] == 56 and ev["vertices"] == 28
     assert ev["configuration_size"] == 9
 
 
