@@ -196,22 +196,6 @@ def crossing_sort_key(x: Crossing):
     return (curve_sort_key(x.a), curve_sort_key(x.b))
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Edge of the one-complex spanned by a network.
-
-    The ``index``-th arc of ``curve`` runs from its ``index``-th crossing to
-    the next one in the curve's cyclic order.  A curve with no crossings is
-    represented by a single loop arc at a phantom basepoint (both crossing
-    fields None).
-    """
-
-    curve: CurveId
-    index: int
-    start: Optional[Crossing]
-    end: Optional[Crossing]
-
-
 @dataclass
 class IntersectionGraph:
     vertices: list
@@ -514,21 +498,6 @@ def curve_crossings(net: Network, curve: CurveId) -> list:
     interior = [p for p in curve.segment.endpoints()
                 if ACurve(p) in net]
     return [Crossing(ACurve(p), curve) for p in interior]
-
-
-def curve_arcs(net: Network, curve: CurveId) -> list:
-    """The arcs into which its crossings divide ``curve``."""
-    return arcs_along(curve, curve_crossings(net, curve))
-
-
-def arcs_along(curve: CurveId, crossings: list) -> list:
-    """The arcs into which ``crossings``, the crossings of ``curve`` in its
-    cyclic order, divide it."""
-    if not crossings:
-        return [Arc(curve, 0, None, None)]
-    k = len(crossings)
-    return [Arc(curve, i, crossings[i], crossings[(i + 1) % k])
-            for i in range(k)]
 
 
 def network_to_json(net: Network) -> dict:

@@ -9,14 +9,13 @@ cyclic dart order at each vertex encodes the embedding, so Euler
 characteristic, faces and complementary regions are exact combinatorial
 computations.
 
-The ribbon graph is laid out on integers.  Arcs are numbered in network
-curve order (``Network.curve_list``), each curve's arcs in index order, and
-arc ``i`` owns two darts: ``2i`` leaves its start and ``2i + 1`` its end, so
-the partner of dart ``d`` is ``d ^ 1``.  A face is the orbit of a dart under
-"step to the partner, then to the next dart in the rotation there"; faces
-are traced from the least unvisited dart, and since the numbering follows
-curve order, sorting the darts by (curve, arc index, end) gives the same
-order: faces come out sorted by their least dart with no sort.
+The ribbon graph is held as integers only.  Curves are numbered in network
+order (``Network.curve_list``), arcs in curve order, each curve's in index
+order, and arc ``i`` owns two darts: ``2i`` leaves its start and ``2i + 1``
+its end, so the partner of dart ``d`` is ``d ^ 1``.  A face is the orbit of
+a dart under "step to the partner, then to the next dart in the rotation
+there"; faces are traced from the least unvisited dart, so they come out
+sorted by their least dart with no sort.
 
 Homology is generated by the network curves themselves: their pairing is the
 crossing-sign matrix below.  One symplectic reduction of that matrix splits
@@ -37,23 +36,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import lcm
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .intlinalg import standard_j, support, symplectic_reduction
 from .lattice import Polygon, Segment, genus
 from .network import (
     ACurve,
-    Arc,
     BCurve,
-    Crossing,
     CurveId,
     Network,
-    NetworkError,
+    UnsupportedPair,
     _find,
     _union,
-    arcs_along,
     check_network_invariants,
     curve_crossings,
+    geometric_intersection,
 )
 
 
@@ -73,46 +70,31 @@ class EmptySurface(SurfaceError):
     pass
 
 
-@dataclass(frozen=True)
-class PhantomVertex:
-    """Placeholder vertex for a curve without any crossings; its regular
-    neighborhood is an annulus and capping it off yields a genus-0 piece."""
-
-    curve: CurveId
-
-
-Vertex = Union[Crossing, PhantomVertex]
-Dart = Tuple[Arc, int]  # (arc, 0) leaves arc.start, (arc, 1) leaves arc.end
-
-
 @dataclass
 class RibbonSurface:
-    """Rotation system of the doubled surface cut out by a network.
+    """Rotation system of the doubled surface cut out by a network, with
+    the integer darts of the module docstring.
 
-    The public fields hold curves, crossings and arcs; a dart there is
-    ``(arc, end)``.  They are read off an integer layout, which the
-    computations here use: ``curves`` in network order, ``arc_curve`` the
-    curve index of arc ``i``, ``vertex_curves`` the curve indices meeting
-    at each vertex (two at a crossing, one at a phantom vertex),
-    ``vertex_darts`` each vertex's rotation as integer darts, and
-    ``dart_face`` the face each integer dart runs along.  Dart ``2i`` is
-    ``(arcs[i], 0)``, dart ``2i + 1`` is ``(arcs[i], 1)``, and ``d ^ 1`` is
-    the partner of ``d``.  Vertices list the crossings circle by circle,
-    each circle's by segment curve, then the phantom vertices in curve
-    order.
+    ``curves`` holds the network curves in network order, ``curve_index``
+    their positions there, and ``arcs`` the curve index of each arc.
+    ``vertices`` holds the curve indices meeting at each vertex (circle,
+    then segment curve, at a crossing; the one curve of a curve without
+    crossings at its phantom vertex) and ``rotation`` its cyclic dart
+    order, counterclockwise in the front copy; at a crossing it starts with
+    the segment curve's front-copy dart.  ``faces`` holds the dart walks
+    and ``dart_face`` the face of each dart.  Vertices list the crossings
+    circle by circle, each circle's by segment curve, then the phantom
+    vertices in curve order.
     """
 
     network: Network
-    vertices: Tuple[Vertex, ...]
-    arcs: Tuple[Arc, ...]
-    rotation: Dict[Vertex, Tuple[Dart, ...]]
-    faces: Tuple[Tuple[Dart, ...], ...]
-    curve_arcs: Dict[CurveId, Tuple[Arc, ...]]
-    curves: Tuple[CurveId, ...] = field(repr=False, compare=False)
-    arc_curve: Tuple[int, ...] = field(repr=False, compare=False)
-    vertex_curves: Tuple[Tuple[int, ...], ...] = field(repr=False, compare=False)
-    vertex_darts: Tuple[Tuple[int, ...], ...] = field(repr=False, compare=False)
-    dart_face: Tuple[int, ...] = field(repr=False, compare=False)
+    curves: Tuple[CurveId, ...]
+    arcs: Tuple[int, ...]
+    vertices: Tuple[Tuple[int, ...], ...]
+    rotation: Tuple[Tuple[int, ...], ...]
+    faces: Tuple[Tuple[int, ...], ...]
+    dart_face: Tuple[int, ...]
+    curve_index: Dict[CurveId, int] = field(repr=False, compare=False)
     # derived facts, each computed on first use
     _homology: Optional["IntersectionForm"] = field(
         default=None, init=False, repr=False, compare=False)
@@ -129,7 +111,7 @@ class RibbonSurface:
     def components(self) -> List[FrozenSet[CurveId]]:
         if self._components is None:
             parent = list(range(len(self.curves)))
-            for at in self.vertex_curves:
+            for at in self.vertices:
                 if len(at) == 2:
                     _union(parent, *at)
             groups: Dict[int, List[CurveId]] = {}
@@ -205,21 +187,16 @@ def inflate(P: Polygon, net: Network) -> RibbonSurface:
     index = {c: i for i, c in enumerate(curves)}
     crossings = [curve_crossings(net, c) for c in curves]
     first = []  # the index of each curve's first arc
-    arc_curve = []
+    arcs = []
     for i, xs in enumerate(crossings):
-        first.append(len(arc_curve))
-        arc_curve += [i] * max(len(xs), 1)
+        first.append(len(arcs))
+        arcs += [i] * max(len(xs), 1)
 
-    vertices, vertex_curves, vertex_darts = [], [], []
-    phantoms = []
+    vertices, rotation = [], []
     for i, (c, xs) in enumerate(zip(curves, crossings)):
-        a0 = first[i]
-        if not xs:
-            phantoms.append((PhantomVertex(c), (i,), (2 * a0, 2 * a0 + 1)))
-            continue
-        if isinstance(c, BCurve):
-            continue  # its crossings are listed with their circles
-        k = len(xs)
+        if not xs or isinstance(c, BCurve):
+            continue  # a segment curve's crossings are listed with circles
+        a0, k = first[i], len(xs)
         js = [index[x.b] for x in xs]
         for t in sorted(range(k), key=js.__getitem__):
             x, j = xs[t], js[t]
@@ -233,46 +210,38 @@ def inflate(P: Polygon, net: Network) -> RibbonSurface:
                 b_front, b_back = 2 * b0 + 1, 2 * b1
             # counterclockwise in the front copy: segment out, circle
             # forward, segment back-copy, circle backward
-            vertices.append(x)
-            vertex_curves.append((i, j))
-            vertex_darts.append((b_front, 2 * (a0 + t), b_back,
-                                 2 * (a0 + (t - 1) % k) + 1))
-    for v, at, darts in phantoms:
-        vertices.append(v)
-        vertex_curves.append(at)
-        vertex_darts.append(darts)
+            vertices.append((i, j))
+            rotation.append((b_front, 2 * (a0 + t), b_back,
+                             2 * (a0 + (t - 1) % k) + 1))
+    for i, xs in enumerate(crossings):
+        if not xs:  # the phantom vertex of a curve without crossings
+            vertices.append((i,))
+            rotation.append((2 * first[i], 2 * first[i] + 1))
 
-    succ = [0] * (2 * len(arc_curve))
-    for darts in vertex_darts:
+    succ = [0] * (2 * len(arcs))
+    for darts in rotation:
         for t, d in enumerate(darts):
             succ[d] = darts[(t + 1) % len(darts)]
     dart_face = [-1] * len(succ)
-    int_faces = []
+    faces = []
     for d0 in range(len(succ)):
         d, walk = d0, []
         while dart_face[d] < 0:
-            dart_face[d] = len(int_faces)
+            dart_face[d] = len(faces)
             walk.append(d)
             d = succ[d ^ 1]
         if walk:
-            int_faces.append(walk)
+            faces.append(tuple(walk))
 
-    arcs = tuple(a for c, xs in zip(curves, crossings) for a in arcs_along(c, xs))
-    darts = [(a, end) for a in arcs for end in (0, 1)]
     surf = RibbonSurface(
         network=net,
-        vertices=tuple(vertices),
-        arcs=arcs,
-        rotation={v: tuple(darts[d] for d in ds)
-                  for v, ds in zip(vertices, vertex_darts)},
-        faces=tuple(tuple(darts[d] for d in walk) for walk in int_faces),
-        curve_arcs={c: arcs[first[i]:first[i] + max(len(crossings[i]), 1)]
-                    for i, c in enumerate(curves)},
         curves=curves,
-        arc_curve=tuple(arc_curve),
-        vertex_curves=tuple(vertex_curves),
-        vertex_darts=tuple(vertex_darts),
+        arcs=tuple(arcs),
+        vertices=tuple(vertices),
+        rotation=tuple(rotation),
+        faces=tuple(faces),
         dart_face=tuple(dart_face),
+        curve_index=index,
     )
     if arcs:
         chi = surf.euler()
@@ -291,13 +260,15 @@ def _crossing_signs(S: RibbonSurface) -> List[List[int]]:
     """Pairing matrix of the network curves, read off their crossings.
 
     A(v).B(s) = +1 where s leaves v, -1 where s arrives at v; every other
-    entry (no common crossing, or two curves of one family) is 0.
+    entry (no common crossing, or two curves of one family) is 0.  The
+    rotation at a crossing starts with the segment curve's front-copy dart,
+    which is even exactly when the segment leaves v.
     """
     M = [[0] * len(S.curves) for _ in S.curves]
-    for x, at in zip(S.vertices, S.vertex_curves):
+    for at, darts in zip(S.vertices, S.rotation):
         if len(at) == 2:
             i, j = at
-            sign = 1 if x.b.segment.a == x.a.point else -1
+            sign = -1 if darts[0] & 1 else 1
             M[i][j], M[j][i] = sign, -sign
     return M
 
@@ -365,7 +336,7 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
 def curve_class(S: RibbonSurface, c: CurveId) -> Tuple[int, ...]:
     """Coordinates of a network curve in the symplectic basis, ordered
     x1, y1, ..., xg, yg: a lookup in the class table of ``homology_basis``."""
-    if not isinstance(c, (ACurve, BCurve)) or c not in S.curve_arcs:
+    if not isinstance(c, (ACurve, BCurve)) or c not in S.curve_index:
         raise UnknownCurve(f"curve {c!r} is not on this surface")
     return homology_basis(S).classes[c]
 
@@ -375,12 +346,11 @@ def curve_class(S: RibbonSurface, c: CurveId) -> Tuple[int, ...]:
 def complement_regions(S: RibbonSurface, cut) -> List[Region]:
     """Regions of the closed surface cut along ``cut`` only: ribbon faces
     merged across every arc of a curve outside ``cut``."""
-    index = {c: i for i, c in enumerate(S.curves)}
     kept = [False] * len(S.curves)
     for c in cut:
-        if c not in index:
+        if c not in S.curve_index:
             raise UnknownCurve(f"curve {c} is not on this surface")
-        kept[index[c]] = True
+        kept[S.curve_index[c]] = True
     if not S.arcs:
         raise EmptySurface("no regions on the empty surface")
     if not S.fills():
@@ -388,7 +358,7 @@ def complement_regions(S: RibbonSurface, cut) -> List[Region]:
 
     face = S.dart_face
     parent = list(range(len(S.faces)))
-    for i, c in enumerate(S.arc_curve):
+    for i, c in enumerate(S.arcs):
         if not kept[c]:
             _union(parent, face[2 * i], face[2 * i + 1])
 
@@ -401,7 +371,7 @@ def complement_regions(S: RibbonSurface, cut) -> List[Region]:
     n_verts = dict.fromkeys(groups, 0)
     internal: Dict[int, set] = {r: set() for r in groups}
     boundary: Dict[int, set] = {r: set() for r in groups}
-    for i, c in enumerate(S.arc_curve):
+    for i, c in enumerate(S.arcs):
         if kept[c]:
             boundary[root[face[2 * i]]].add(c)
             boundary[root[face[2 * i + 1]]].add(c)
@@ -409,7 +379,7 @@ def complement_regions(S: RibbonSurface, cut) -> List[Region]:
             r = root[face[2 * i]]
             n_arcs[r] += 1
             internal[r].add(c)
-    for at, darts in zip(S.vertex_curves, S.vertex_darts):
+    for at, darts in zip(S.vertices, S.rotation):
         if not any(kept[c] for c in at):
             n_verts[root[face[darts[0]]]] += 1
 
@@ -458,17 +428,21 @@ def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
 
 def _completed_network(nprime: Network, b: BCurve) -> Optional[Network]:
     """``nprime`` plus b plus the circles at b's interior endpoints, or None
-    when b is in ``nprime`` already or crosses one of its curves badly."""
+    when b is in ``nprime`` already or a segment curve crosses another
+    badly.  Only the pairs with b are new to check."""
     clauses = dict(nprime.clauses)
     if b in clauses:
+        return None
+    try:
+        check_network_invariants(nprime)
+        for c in nprime.b_curves():
+            geometric_intersection(b, c)
+    except UnsupportedPair:
         return None
     clauses[b] = 0
     for p in b.segment.endpoints():
         if nprime.polygon.contains(p, strict=True):
             clauses.setdefault(ACurve(p), 0)
     completed = replace(nprime, clauses=clauses)
-    try:
-        check_network_invariants(completed)
-    except NetworkError:
-        return None
+    completed._segments_checked = True
     return completed

@@ -15,6 +15,8 @@ span closure on dense echelon rows, re-mapping the whole basis every round.
 import functools
 from fractions import Fraction
 
+from ribbon_oracle import curve_arcs
+
 from vanishingcycles.intlinalg import ext_gcd, smith_normal_form
 from vanishingcycles.lattice import genus
 from vanishingcycles.network import (
@@ -24,7 +26,6 @@ from vanishingcycles.network import (
     _find,
     _union,
     crossing_sort_key,
-    curve_arcs,
     curve_crossings,
     curve_sort_key,
     graph_stats,

@@ -1,8 +1,12 @@
-"""Oracles for the ribbon surface, computed on its object-valued fields.
+"""Oracles for the ribbon surface, on an object-valued view of it.
 
-Rotation system, faces and complementary regions: built over dicts and
-sets keyed by crossings and by darts ``(arc, end)``, independently of the
-integer dart layout that ``surface.inflate`` computes them on.
+``object_view`` rebuilds the ribbon graph from a network with objects: arcs
+are ``Arc`` values, a dart is ``(arc, end)``, a vertex is a crossing or the
+phantom vertex of a curve without crossings, and the rotation system, faces
+and complementary regions are built over dicts and sets keyed by them,
+independently of the integer layout that ``surface.inflate`` computes.
+``layout_view`` reads that layout in the same objects (dart ``d`` is
+``(arcs[d >> 1], d & 1)``), so that the two can be compared.
 
 Ribbon-graph pairing of closed dart paths: an independent oracle for the
 crossing-sign matrix that ``surface.homology_basis`` reads off the network.
@@ -13,15 +17,53 @@ how their darts interleave around the rose.  A closed dart path pairs through
 its signed count of chord traversals.
 """
 
+from dataclasses import dataclass
+from typing import Optional
+
 from vanishingcycles.network import (
+    Crossing,
+    CurveId,
     _find,
     _union,
     crossing_sort_key,
-    curve_arcs,
     curve_crossings,
     curve_sort_key,
 )
-from vanishingcycles.surface import PhantomVertex, Region
+from vanishingcycles.surface import Region
+
+
+@dataclass(frozen=True)
+class Arc:
+    """Edge of the one-complex spanned by a network.
+
+    The ``index``-th arc of ``curve`` runs from its ``index``-th crossing to
+    the next one in the curve's cyclic order.  A curve with no crossings is
+    represented by a single loop arc at a phantom basepoint (both crossing
+    fields None).
+    """
+
+    curve: CurveId
+    index: int
+    start: Optional[Crossing]
+    end: Optional[Crossing]
+
+
+@dataclass(frozen=True)
+class PhantomVertex:
+    """Placeholder vertex for a curve without any crossings; its regular
+    neighborhood is an annulus and capping it off yields a genus-0 piece."""
+
+    curve: CurveId
+
+
+def curve_arcs(net, curve) -> list:
+    """The arcs into which its crossings divide ``curve``."""
+    crossings = curve_crossings(net, curve)
+    if not crossings:
+        return [Arc(curve, 0, None, None)]
+    k = len(crossings)
+    return [Arc(curve, i, crossings[i], crossings[(i + 1) % k])
+            for i in range(k)]
 
 
 def vertex_key(v):
@@ -48,10 +90,9 @@ def dart_vertex(d):
     return x
 
 
-def rotation_system(net):
+def rotation_system(net, arcs_of):
     """The cyclic dart order at every vertex, ``{vertex: darts}``, built from
-    each curve's arcs and crossings."""
-    arcs_of = {c: curve_arcs(net, c) for c in net.curve_list()}
+    each curve's arcs ``arcs_of[curve]`` and crossings."""
     rotation = {}
     for a in net.a_curves():
         xs = curve_crossings(net, a)
@@ -104,22 +145,63 @@ def trace_faces(rotation):
     return tuple(faces)
 
 
-def face_of_dart(S):
-    return {d: i for i, walk in enumerate(S.faces) for d in walk}
+@dataclass
+class ObjectView:
+    """A ribbon graph in objects: vertices sorted by ``vertex_key``, arcs in
+    curve order, each curve's arcs, the rotation ``{vertex: darts}`` and the
+    faces as dart walks."""
+
+    vertices: tuple
+    arcs: tuple
+    curve_arcs: dict
+    rotation: dict
+    faces: tuple
 
 
-def complement_regions(S, cut):
+def object_view(net) -> ObjectView:
+    """The ribbon graph of ``net``, built from its curves' crossings."""
+    arcs_of = {c: tuple(curve_arcs(net, c)) for c in net.curve_list()}
+    rotation = rotation_system(net, arcs_of)
+    return ObjectView(
+        vertices=tuple(sorted(rotation, key=vertex_key)),
+        arcs=tuple(a for arcs in arcs_of.values() for a in arcs),
+        curve_arcs=arcs_of,
+        rotation=rotation,
+        faces=trace_faces(rotation),
+    )
+
+
+def layout_view(S, arcs):
+    """The integer layout of ``S`` read in objects, as (vertices, rotation,
+    faces): ``arcs`` numbers the arcs, dart ``d`` is
+    ``(arcs[d >> 1], d & 1)``, and a vertex is the crossing of its two
+    curves or the phantom vertex of its one curve."""
+    def dart(d):
+        return (arcs[d >> 1], d & 1)
+
+    vertices = tuple(Crossing(S.curves[at[0]], S.curves[at[1]]) if len(at) == 2
+                     else PhantomVertex(S.curves[at[0]]) for at in S.vertices)
+    rotation = {v: tuple(map(dart, ds)) for v, ds in zip(vertices, S.rotation)}
+    faces = tuple(tuple(map(dart, walk)) for walk in S.faces)
+    return vertices, rotation, faces
+
+
+def face_of_dart(V):
+    return {d: i for i, walk in enumerate(V.faces) for d in walk}
+
+
+def complement_regions(V, cut):
     """Regions of a filling surface cut along ``cut``: faces merged across
     every arc of a curve outside ``cut``, read off the arcs, the rotation
-    and the faces of ``S``."""
+    and the faces of the view ``V``."""
     cut = set(cut)
-    fmap = face_of_dart(S)
-    parent = list(range(len(S.faces)))
-    deleted_arcs = [a for a in S.arcs if a.curve not in cut]
+    fmap = face_of_dart(V)
+    parent = list(range(len(V.faces)))
+    deleted_arcs = [a for a in V.arcs if a.curve not in cut]
     for a in deleted_arcs:
         _union(parent, fmap[(a, 0)], fmap[(a, 1)])
 
-    root = [_find(parent, i) for i in range(len(S.faces))]
+    root = [_find(parent, i) for i in range(len(V.faces))]
     groups = {}
     for i, r in enumerate(root):
         groups.setdefault(r, []).append(i)
@@ -131,15 +213,15 @@ def complement_regions(S, cut):
         n_arcs[r] += 1
         internal[r].add(a.curve)
     n_verts = {r: 0 for r in groups}
-    for v in S.vertices:
+    for v in V.vertices:
         if isinstance(v, PhantomVertex):
             dead = v.curve not in cut
         else:
             dead = v.a not in cut and v.b not in cut
         if dead:
-            n_verts[root[fmap[S.rotation[v][0]]]] += 1
+            n_verts[root[fmap[V.rotation[v][0]]]] += 1
     boundary = {r: set() for r in groups}
-    for a in S.arcs:
+    for a in V.arcs:
         if a.curve in cut:
             for end in (0, 1):
                 boundary[root[fmap[(a, end)]]].add(a.curve)
@@ -151,15 +233,15 @@ def complement_regions(S, cut):
             for r, fs in sorted(groups.items())]
 
 
-def spanning_tree(S):
+def spanning_tree(V):
     """Arcs of a spanning tree of the ribbon graph, grown from the first
     vertex."""
-    root = S.vertices[0]
+    root = V.vertices[0]
     seen = {root}
     tree = []
     frontier = [root]
-    incident = {v: [] for v in S.vertices}
-    for a in S.arcs:
+    incident = {v: [] for v in V.vertices}
+    for a in V.arcs:
         incident[dart_vertex((a, 0))].append(a)
         incident[dart_vertex((a, 1))].append(a)
     while frontier:
@@ -171,18 +253,18 @@ def spanning_tree(S):
                     seen.add(w)
                     tree.append(a)
                     frontier.append(w)
-    if len(seen) != len(S.vertices):
+    if len(seen) != len(V.vertices):
         raise ValueError("surface is not connected")
     return tree
 
 
-def rose_rotation(S, tree):
+def rose_rotation(V, tree):
     """Contract every tree arc, splicing rotations; returns the cyclic dart
     list at the single remaining vertex."""
-    if len(tree) != len(S.vertices) - 1 or len(set(tree)) != len(tree):
+    if len(tree) != len(V.vertices) - 1 or len(set(tree)) != len(tree):
         raise ValueError("not a spanning tree")
-    rot = {v: list(ds) for v, ds in S.rotation.items()}
-    owner = {v: v for v in S.vertices}
+    rot = {v: list(ds) for v, ds in V.rotation.items()}
+    owner = {v: v for v in V.vertices}
 
     def find(v):
         while owner[v] != v:
@@ -204,15 +286,15 @@ def rose_rotation(S, tree):
     return rose
 
 
-def chord_gram(S, tree=None):
+def chord_gram(V, tree=None):
     """Chords (non-tree arcs in surface order) and their pairing matrix."""
     if tree is None:
-        tree = spanning_tree(S)
-    rose = rose_rotation(S, list(tree))
+        tree = spanning_tree(V)
+    rose = rose_rotation(V, list(tree))
     pos = {d: i for i, d in enumerate(rose)}
     L = len(rose)
     tree_set = set(tree)
-    chords = [a for a in S.arcs if a not in tree_set]
+    chords = [a for a in V.arcs if a not in tree_set]
 
     def sign(x, y):
         base = pos[(x, 0)]
@@ -228,13 +310,13 @@ def chord_gram(S, tree=None):
     return chords, [[sign(x, y) for y in chords] for x in chords]
 
 
-def curve_pairing(S, tree=None):
+def curve_pairing(V, tree=None):
     """Pairing of every two network curves, as {(c1, c2): int}, computed
     from the curves' dart cycles and the chord pairing."""
-    chords, G = chord_gram(S, tree)
+    chords, G = chord_gram(V, tree)
     index = {a: i for i, a in enumerate(chords)}
     vectors = {}
-    for c, arcs in S.curve_arcs.items():
+    for c, arcs in V.curve_arcs.items():
         v = [0] * len(chords)
         for a in arcs:
             if a in index:

@@ -4,11 +4,11 @@ from math import gcd
 
 import pytest
 from oracles import NotArboreal, spanning_tree_correspondence
+from ribbon_oracle import Arc, curve_arcs
 
 from vanishingcycles.lattice import IDENTITY_MAP, LatticeError, Polygon, Segment
 from vanishingcycles.network import (
     ACurve,
-    Arc,
     BCurve,
     ConfigurationUnavailable,
     DegenerateAdjoint,
@@ -19,7 +19,6 @@ from vanishingcycles.network import (
     UnsupportedPair,
     build_network,
     check_network_invariants,
-    curve_arcs,
     curve_crossings,
     curve_sort_key,
     dn_configuration,

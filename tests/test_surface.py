@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from ribbon_oracle import (
     chord_gram,
     curve_pairing,
-    rotation_system,
-    trace_faces,
-    vertex_key,
+    layout_view,
+    object_view,
 )
 from ribbon_oracle import complement_regions as oracle_regions
 
@@ -34,10 +33,10 @@ from vanishingcycles.spin import _pairing
 from vanishingcycles.surface import (
     EmptySurface,
     NotClosedSurface,
-    PhantomVertex,
     SurfaceError,
     UnknownCurve,
     _completed_network,
+    _crossing_signs,
     complement_regions,
     curve_class,
     homology_basis,
@@ -130,14 +129,14 @@ def test_square4_counts():
 
 
 def test_rotation_is_a_dart_partition():
+    # every dart sits at exactly one vertex, on an arc of a curve meeting there
     _, S = built(TRIANGLE6)
     seen = []
-    for v, darts in S.rotation.items():
+    for at, darts in zip(S.vertices, S.rotation):
         for d in darts:
             seen.append(d)
-            arc, end = d
-            assert (arc.start, arc.end)[end] == v or isinstance(v, PhantomVertex)
-    assert len(seen) == len(set(seen)) == 2 * len(S.arcs)
+            assert S.arcs[d >> 1] in at
+    assert sorted(seen) == list(range(2 * len(S.arcs)))
 
 
 def test_circles_alone_are_genus_zero_shells():
@@ -257,7 +256,7 @@ def test_pairing_matches_crossing_signs_for_all_pairs(P):
 def assert_oracle_matches_sign_matrix(S, tree=None):
     # the ribbon pairing of the curves' dart cycles is the library's matrix
     form = homology_basis(S)
-    pairing = curve_pairing(S, tree)
+    pairing = curve_pairing(object_view(S.network), tree)
     for i, c1 in enumerate(form.chords):
         for j, c2 in enumerate(form.chords):
             assert pairing[c1, c2] == form.chord_gram[i][j], (c1, c2)
@@ -265,7 +264,7 @@ def assert_oracle_matches_sign_matrix(S, tree=None):
 
 def test_cycle_pairing_on_curve_cycles():
     net, S = built(TRIANGLE4)
-    pairing = curve_pairing(S)
+    pairing = curve_pairing(object_view(net))
     for c1 in net.curve_list():
         for c2 in net.curve_list():
             assert pairing[c1, c2] == expected_sign(c1, c2)
@@ -329,11 +328,12 @@ def test_correspondence_tree_turns_chords_into_curves():
     # network curves themselves, so the chord pairing is the sign matrix
     net = subnetwork_nprime(build_network(TRIANGLE6))
     S = inflate(TRIANGLE6, net)
+    V = object_view(net)
     corr = spanning_tree_correspondence(net)
     surrendered = set(corr.values())
-    kept = [a for a in S.arcs if a not in surrendered]
+    kept = [a for a in V.arcs if a not in surrendered]
     assert len(kept) == len(S.vertices) - 1
-    chords, gram = chord_gram(S, tree=kept)
+    chords, gram = chord_gram(V, tree=kept)
     assert set(chords) == surrendered
     assert homology_basis(S).genus == 9  # one handle less than closed
     owner = {arc: c for c, arc in corr.items()}
@@ -346,11 +346,13 @@ def test_correspondence_tree_turns_chords_into_curves():
 def test_every_curve_keeps_all_but_one_arc():
     net = subnetwork_nprime(build_network(TRIANGLE6))
     S = inflate(TRIANGLE6, net)
+    V = object_view(net)
     corr = spanning_tree_correspondence(net)
     for c, arc in corr.items():
-        assert arc in S.curve_arcs[c]
-        others = [a for a in S.curve_arcs[c] if a != arc]
-        assert len(others) == len(S.curve_arcs[c]) - 1
+        assert arc in V.curve_arcs[c]
+        others = [a for a in V.curve_arcs[c] if a != arc]
+        assert len(others) == len(V.curve_arcs[c]) - 1
+        assert len(V.curve_arcs[c]) == S.arcs.count(S.curve_index[c])
 
 
 # --- filling ------------------------------------------------------------------
@@ -439,18 +441,35 @@ def surfaces_of(P, rng):
 
 
 def assert_layout_matches_oracle(S, rng):
-    assert S.rotation == rotation_system(S.network)
-    assert S.vertices == tuple(sorted(S.rotation, key=vertex_key))
-    assert S.faces == trace_faces(S.rotation)
+    V = object_view(S.network)
     curves = list(S.network.curve_list())
+    assert S.curves == tuple(curves)
+    assert [S.curves[c] for c in S.arcs] == [a.curve for a in V.arcs]
+    assert layout_view(S, V.arcs) == (V.vertices, V.rotation, V.faces)
+    assert all(S.dart_face[d] == f for f, walk in enumerate(S.faces) for d in walk)
     cuts = [[], all_a(S.network), all_b(S.network), curves]
     cuts += [[c for c in curves if rng.random() < 0.5] for _ in range(4)]
     for cut in cuts:
         if S.fills():
-            assert complement_regions(S, cut) == oracle_regions(S, cut), cut
+            assert complement_regions(S, cut) == oracle_regions(V, cut), cut
         else:
             with pytest.raises((NotClosedSurface, EmptySurface)):
                 complement_regions(S, cut)
+
+
+def assert_signs_match(S):
+    """The sign read from the parity of each crossing's first dart is the
+    sign of the segment's direction at the circle, on every curve pair: in
+    the crossing-sign matrix, and in the homology form when the surface has
+    one (a disconnected surface has none).  True when the form was read."""
+    want = [[expected_sign(c1, c2) for c2 in S.curves] for c1 in S.curves]
+    assert _crossing_signs(S) == want
+    try:
+        form = homology_basis(S)
+    except SurfaceError:
+        return False
+    assert form.chord_gram == tuple(map(tuple, want))
+    return True
 
 
 @settings(max_examples=30, deadline=None)
@@ -458,8 +477,11 @@ def assert_layout_matches_oracle(S, rng):
        st.integers(-4, 4), st.integers(-4, 4), st.randoms(use_true_random=False))
 def test_layout_matches_the_oracle_on_random_admissible_polygons(
         base, p, q, tx, ty, rng):
-    for S in surfaces_of(sheared(base, p, q, tx, ty), rng):
+    surfaces = surfaces_of(sheared(base, p, q, tx, ty), rng)
+    for S in surfaces:
         assert_layout_matches_oracle(S, rng)
+    # the standard and the completed network's forms are read
+    assert [assert_signs_match(S) for S in surfaces][:-1] == [True] * (len(surfaces) - 1)
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_FAMILIES))
@@ -469,6 +491,7 @@ def test_layout_matches_the_oracle_on_the_pipeline_families(name):
     assert len(surfaces) == 3 and all(S.fills() for S in surfaces[:2])
     for S in surfaces:
         assert_layout_matches_oracle(S, rng)
+    assert [assert_signs_match(S) for S in surfaces][:2] == [True, True]
 
 
 # --- complement regions --------------------------------------------------------
@@ -513,9 +536,8 @@ def test_region_euler_sum_invariant():
         cut = [c for c in curves if rng.random() < 0.5]
         if not cut:
             continue
-        both = sum(1 for x in S.vertices
-                   if not isinstance(x, PhantomVertex)
-                   and x.a in cut and x.b in cut)
+        both = sum(1 for at in S.vertices
+                   if len(at) == 2 and all(S.curves[i] in cut for i in at))
         regs = complement_regions(S, cut)
         assert sum(r.chi for r in regs) == -18 + both
 
@@ -568,6 +590,14 @@ def test_relative_filling_fails_without_enough_circles():
 def test_relative_filling_fails_for_distant_segment():
     nprime = subnetwork_nprime(build_network(TRIANGLE6))
     assert not relative_filling(TRIANGLE6, nprime, Segment((-1, 4), (0, 4)))
+
+
+def test_relative_filling_fails_for_segment_crossing_nprime_badly():
+    # b crosses B((-1, 0), (0, 0)) at (-1/2, 0), away from the lattice points;
+    # left unchecked, that pair would give a completed network that passes
+    nprime = subnetwork_nprime(build_network(TRIANGLE6))
+    b_segment = Segment((-1, -1), (0, 1))
+    assert not relative_filling(nprime.polygon, nprime, b_segment)
 
 
 def test_relative_filling_fails_for_present_segment():

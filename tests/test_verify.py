@@ -278,6 +278,7 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     inflations = count_calls(monkeypatch, surface.inflate)
     segment_passes = count_calls(monkeypatch, network.check_network_invariants,
                                  lambda net: not net._segments_checked)
+    segment_pairs = count_calls(monkeypatch, network._segment_intersection)
     scan = Polygon._scan
     interior_scans = Counter()
     scanned = []  # keeps each polygon alive, so that no id is reused
@@ -294,7 +295,10 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     assert len(smith) == 0
     assert len(normalizations) == 1
     assert len(inflations) == 2
-    assert len(segment_passes) == 2
+    # one full pass, in build_network; relative filling checks only the
+    # pairs with b: each pair of the 31 segment curves and b once
+    assert len(segment_passes) == 1
+    assert len(segment_pairs) == 32 * 31 // 2
     assert scanned and max(interior_scans.values()) == 1
 
 
