@@ -18,10 +18,14 @@ print(f"ribbon surface: Euler characteristic {S.euler()}, {len(S.faces)} faces, 
 print(f"network fills the surface: {is_filling(P, net)}")
 
 form = homology_basis(S)
-print(f"homology basis of rank {2 * form.genus}; standard pairing matrix "
-      f"recovered: {form.matrix[0][1]}, {form.matrix[1][0]} on the first pair")
+print(f"homology basis of rank {2 * form.genus} from {len(form.chords)} curves; "
+      f"the first pair as curve combinations:")
+for name, b in zip(("x1", "y1"), form.basis):
+    terms = " + ".join(f"{v}*{form.chords[i]}" for i, v in sorted(b.items()))
+    print(f"  {name} = {terms}")
 
 a = ACurve((0, 1))
 print(f"\nclass of the circle at (0, 1): {curve_class(S, a)}")
+print(f"  its nonzero coordinates: {form.classes[a]}")
 for b in net.b_curves()[:3]:
     print(f"class of {b}: {curve_class(S, b)}")

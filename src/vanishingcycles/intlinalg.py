@@ -153,46 +153,97 @@ def symplectic_reduction(rows):
     pairs, its largest elementary divisor is the lcm of the d_i, and M is
     unimodular modulo its radical exactly when every d_i is 1.
 
-    Each step takes the first vector x still left.  If it pairs with none of
-    the others it joins the radical; otherwise its partner y is the first
-    with the least nonzero |<x, y>|.  Every other vector w
-    is reduced modulo the pair, w - q x + q' y, which leaves its pairings
-    with x and y as remainders mod d; only a vector that pairs with x or y
-    changes.  When d = 1 this is the projection off the pair.  A nonzero
-    remainder is a smaller pairing, which becomes the new pair, so a pivot
-    d > 1 is kept only once it divides every pairing of x and y with the
-    rest (Newman, Integral Matrices, ch. IV).
+    The vectors still to be placed sit in slots, one per coordinate at the
+    start, and each step takes the vector x in the first slot still left.
+    If it pairs with none of the others it joins the radical; otherwise its
+    partner y is the first with the least nonzero |<x, y>|.  Every other
+    vector w is reduced modulo the pair, w - q x + q' y, which leaves its
+    pairings with x and y as remainders mod d; only a vector that pairs with
+    x or y changes.  When d = 1 this is the projection off the pair.  A
+    nonzero remainder is a smaller pairing, which becomes the new pair, so a
+    pivot d > 1 is kept only once it divides every pairing of x and y with
+    the rest (Newman, Integral Matrices, ch. IV).  A swap moves the vector
+    it replaces into the slot of the one it takes.
+
+    The pairings are found through an index from each coordinate to the
+    slots whose M w holds it: <x, w> = x.(M w) and, as M is antisymmetric,
+    <w, y> = -y.(M w), so only the slots that the index reaches from supp(x)
+    or supp(y) can pair with x or y, and every other vector pairs 0 with
+    both.  The index only filters; candidates are visited in slot order, so
+    the pivot rule and its tie-breaks are the ones stated above, and each
+    step costs in proportion to the nonzeros it touches.
     """
+    n = len(rows)
+    vec = [{i: 1} for i in range(n)]
     # M e_i is column i of M, which is minus row i
-    live = [({i: 1}, {j: -x for j, x in row}) for i, row in enumerate(rows)]
+    img = [{j: -x for j, x in row} for row in rows]
+    holders = [set() for _ in range(n)]  # k -> the slots s with k in img[s]
+    for s, Mw in enumerate(img):
+        for k in Mw:
+            holders[k].add(s)
+
+    def take(s):
+        # empty slot s, unindexing its M w
+        for k in img[s]:
+            holders[k].discard(s)
+        v, Mv = vec[s], img[s]
+        vec[s] = img[s] = None
+        return v, Mv
+
+    def put(s, v, Mv):
+        vec[s], img[s] = v, Mv
+        for k in Mv:
+            holders[k].add(s)
+
+    def reached(*vs):
+        # the slots whose M w meets the support of one of vs, in slot order
+        found = set()
+        for v in vs:
+            for k in v:
+                found.update(holders[k])
+        return sorted(found)
+
+    def add_multiple(s, c, v, Mv):
+        # slot s gains c (v, Mv); only coordinates of Mv can change holders
+        _add_multiple(vec[s], c, v)
+        Mw = img[s]
+        _add_multiple(Mw, c, Mv)
+        for k in Mv:
+            if k in Mw:
+                holders[k].add(s)
+            else:
+                holders[k].discard(s)
+
     pairs = []
     radical = []
-    while live:
-        x, Mx = live.pop(0)
-        p = [_pairing(x, Mw) for _, Mw in live]
-        k = min((i for i, v in enumerate(p) if v), key=lambda i: abs(p[i]),
-                default=None)
+    for s in range(n):
+        if vec[s] is None:
+            continue
+        x, Mx = take(s)
+        k, d = None, 0
+        for t in reached(x):
+            p = _pairing(x, img[t])
+            if p and (k is None or abs(p) < abs(d)):
+                k, d = t, p
         if k is None:
             radical.append((x, Mx))
             continue
-        y, My = live.pop(k)
-        d = p[k]
+        y, My = take(k)
         if d < 0:
             y, My, d = ({j: -c for j, c in y.items()},
                         {j: -c for j, c in My.items()}, -d)
         while True:
-            best = None  # (remainder, index, pairs with y)
-            for i, (w, Mw) in enumerate(live):
+            best = None  # (remainder, slot, pairs with y)
+            for i in reached(x, y):
+                w, Mw = vec[i], img[i]
                 a, b = _pairing(w, My), _pairing(w, Mx)  # <w, y>, <w, x>
                 if not (a or b):
                     continue
                 qa, qb = a // d, b // d
                 if qa:
-                    _add_multiple(w, -qa, x)
-                    _add_multiple(Mw, -qa, Mx)
+                    add_multiple(i, -qa, x, Mx)
                 if qb:
-                    _add_multiple(w, qb, y)
-                    _add_multiple(Mw, qb, My)
+                    add_multiple(i, qb, y, My)
                 # now <w, y> = a - qa d and <w, x> = b - qb d
                 for r, with_y in ((a - qa * d, True), (b - qb * d, False)):
                     if r and (best is None or r < best[0]):
@@ -201,14 +252,14 @@ def symplectic_reduction(rows):
                 pairs.append((d, x, Mx, y, My))
                 break
             d, i, with_y = best
-            w, Mw = live[i]
+            w, Mw = take(i)
             if with_y:
                 # <w, y> = d: w replaces x
-                live[i] = (x, Mx)
+                put(i, x, Mx)
                 x, Mx = w, Mw
             else:
                 # <x, -w> = <w, x> = d: -w replaces y
-                live[i] = (y, My)
+                put(i, y, My)
                 y, My = ({j: -c for j, c in w.items()},
                          {j: -c for j, c in Mw.items()})
     return pairs, radical
@@ -236,15 +287,6 @@ def symplectic_gram_schmidt(M):
         raise ValueError("pairing not unimodular (gcd %d)" % d)
     return [[v.get(j, 0) for j in range(n2)]
             for _, x, _, y, _ in pairs for v in (x, y)]
-
-
-def standard_j(g: int) -> list[list[int]]:
-    """Interleaved symplectic form: <x_i, y_i> = +1 on basis x1,y1,...,xg,yg."""
-    J = [[0] * (2 * g) for _ in range(2 * g)]
-    for i in range(g):
-        J[2 * i][2 * i + 1] = 1
-        J[2 * i + 1][2 * i] = -1
-    return J
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,8 @@ class Polygon:
     vertices: tuple[Point, ...]
     _interior: tuple[Point, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
+    _adjoint: Adjoint | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vs = tuple((int(x), int(y)) for x, y in self.vertices)
@@ -217,6 +219,13 @@ class Adjoint:
 
 
 def adjoint(P: Polygon) -> Adjoint:
+    """The convex hull of the interior points, found once per polygon."""
+    if P._adjoint is None:
+        object.__setattr__(P, "_adjoint", _inner_hull(P))
+    return P._adjoint
+
+
+def _inner_hull(P: Polygon) -> Adjoint:
     pts = P.interior_points()
     if not pts:
         return Adjoint("empty")

@@ -23,7 +23,12 @@ from typing import Iterable, Sequence, Tuple
 from .intlinalg import solve_mod2
 from .lattice import Polygon, genus
 from .network import ACurve, BCurve, CurveId, Network
-from .surface import RibbonSurface, complement_regions, curve_class
+from .surface import (
+    RibbonSurface,
+    complement_regions,
+    curve_class,
+    homology_basis,
+)
 
 
 class SpinError(ValueError):
@@ -174,7 +179,7 @@ def canonical_spin(P: Polygon, N: Network, S: RibbonSurface) -> SpinStructure:
             f"modulus {r} does not divide 2g-2 = {2 * g - 2}")
 
     curves = list(N.curve_list())
-    classes = [list(curve_class(S, c)) for c in curves]
+    homology_basis(S)  # raises unless the curve classes generate H_1
     n = 2 * g
 
     for family in (ACurve, BCurve):
@@ -190,6 +195,7 @@ def canonical_spin(P: Polygon, N: Network, S: RibbonSurface) -> SpinStructure:
     else:
         # q(h) = sum h_i q_i + sum h_{2k} h_{2k+1} must equal 1 on every
         # network class; solve for the basis bits q_i
+        classes = [curve_class(S, c) for c in curves]
         rows = [[x % 2 for x in h] for h in classes]
         rhs = []
         for h in rows:

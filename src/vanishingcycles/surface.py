@@ -18,11 +18,16 @@ there"; faces are traced from the least unvisited dart, so they come out
 sorted by their least dart with no sort.
 
 Homology is generated by the network curves themselves: their pairing is the
-crossing-sign matrix below.  One symplectic reduction of that matrix splits
-the lattice of curve combinations into pairs of pairing d and a radical;
-when it finds g pairs, each of pairing 1, the matrix has rank 2g and unit
+crossing-sign matrix G below, held as sparse rows.  One symplectic reduction
+of G splits the lattice of curve combinations into pairs of pairing d and a
+radical; when it finds g pairs, each of pairing 1, G has rank 2g and unit
 elementary divisors, so the curve classes span a full-rank unimodular
-sublattice of H_1, which is all of H_1.
+sublattice of H_1, which is all of H_1.  Every vector of the reduction is
+sparse and carried with its product by G, and the reduction, the exact check
+of the form and the class table each cost in proportion to the nonzeros
+they touch: an index from each coordinate to the vectors whose product
+holds it says which pairings can be nonzero.  The index only filters, so
+the reduction's pivots are the ones a scan over every vector picks.
 
 Sign conventions (pinned here, used by every downstream module):
   * circles are oriented counterclockwise as seen in the front copy;
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .intlinalg import standard_j, support, symplectic_reduction
+from .intlinalg import _pairing, symplectic_reduction
 from .lattice import Polygon, Segment, genus
 from .network import (
     ACurve,
@@ -142,23 +147,22 @@ class RibbonSurface:
 @dataclass
 class IntersectionForm:
     """Symplectic homology data of a closed ribbon surface, generated by the
-    network curves.
+    network curves, all of it sparse: a vector is a dict {index: entry} over
+    its nonzero entries.
 
-    ``chords`` holds the generating curves in network order and
-    ``chord_gram`` their crossing-sign matrix.  ``base_change`` expresses
-    each symplectic basis class x1, y1, ..., xg, yg as an integer combination
-    of those curves; their pairing is exactly ``matrix`` (the standard
-    interleaved form).  ``classes`` is the table of curve classes: each
-    curve's coordinates in that basis, read off the products G.b that the
-    check of ``matrix`` computes.
+    ``chords`` holds the generating curves in network order.  ``basis``
+    expresses each symplectic basis class x1, y1, ..., xg, yg as an integer
+    combination of those curves, over curve indices; with G their
+    crossing-sign matrix, B.G.B^T is exactly the standard interleaved form,
+    checked entry by entry.  ``classes`` is the table of curve classes: each
+    curve's nonzero coordinates in that basis, as (coordinate, value) pairs
+    in coordinate order, read off the products G.b of the reduction.
     """
 
     genus: int
-    matrix: Tuple[Tuple[int, ...], ...]
-    base_change: Tuple[Tuple[int, ...], ...]
     chords: Tuple[CurveId, ...]
-    chord_gram: Tuple[Tuple[int, ...], ...]
-    classes: Dict[CurveId, Tuple[int, ...]]
+    basis: Tuple[Dict[int, int], ...]
+    classes: Dict[CurveId, Tuple[Tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -256,21 +260,43 @@ def is_filling(P: Polygon, net: Network) -> bool:
 
 # --- homology ----------------------------------------------------------------
 
-def _crossing_signs(S: RibbonSurface) -> List[List[int]]:
-    """Pairing matrix of the network curves, read off their crossings.
+def _crossing_signs(S: RibbonSurface) -> List[Dict[int, int]]:
+    """Pairing matrix of the network curves, read off their crossings, as
+    one sparse row {j: G_ij} per curve.
 
     A(v).B(s) = +1 where s leaves v, -1 where s arrives at v; every other
     entry (no common crossing, or two curves of one family) is 0.  The
     rotation at a crossing starts with the segment curve's front-copy dart,
     which is even exactly when the segment leaves v.
     """
-    M = [[0] * len(S.curves) for _ in S.curves]
+    rows = [{} for _ in S.curves]
     for at, darts in zip(S.vertices, S.rotation):
         if len(at) == 2:
             i, j = at
             sign = -1 if darts[0] & 1 else 1
-            M[i][j], M[j][i] = sign, -sign
-    return M
+            rows[i][j], rows[j][i] = sign, -sign
+    return rows
+
+
+def _form_rows(basis, Gb):
+    """The rows of B.G.B^T for the sparse vectors ``basis`` and their
+    products ``Gb`` by G, each as {j: entry} over its nonzero entries.
+
+    Entry (i, j) is b_i.(G b_j), which is 0 unless supp(b_i) meets
+    supp(G b_j); an index from each coordinate k to the j whose G b_j holds
+    k reaches every other j, so each entry left out is 0 by sparsity.
+    """
+    reach: Dict[int, List[int]] = {}
+    for j, Gv in enumerate(Gb):
+        for k in Gv:
+            reach.setdefault(k, []).append(j)
+    for b in basis:
+        row = {}
+        for j in {j for k in b for j in reach.get(k, ())}:
+            p = _pairing(b, Gb[j])
+            if p:
+                row[j] = p
+        yield row
 
 
 def homology_basis(S: RibbonSurface) -> IntersectionForm:
@@ -285,7 +311,8 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
     pairs, each of pairing 1; otherwise ``SurfaceError`` is raised.
 
     The reduction carries G.v with every vector v, so every pairing, in it
-    and in the check of the form below, is a sparse dot product.
+    and in the check of the form below, is a sparse dot product, and only
+    the pairings that the supports allow to be nonzero are computed.
     """
     if S._homology is not None:
         return S._homology
@@ -295,9 +322,8 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
         raise NotClosedSurface("surface is not connected")
     curves = S.curves
     G = _crossing_signs(S)
-    n = len(curves)
 
-    pairs, _ = symplectic_reduction([support(row) for row in G])
+    pairs, _ = symplectic_reduction([row.items() for row in G])
     pivots = [d for d, *_ in pairs]
     chi = S.euler()
     if 2 * len(pairs) != 2 - chi or any(d != 1 for d in pivots):
@@ -309,25 +335,25 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
     basis = [v for _, x, _, y, _ in pairs for v in (x, y)]
     Gb = [Gv for _, _, Gx, _, Gy in pairs for Gv in (Gx, Gy)]
 
-    J = standard_j(g)
-    for i, b in enumerate(basis):
-        for j in range(2 * g):
-            assert sum(c * Gb[j].get(k, 0) for k, c in b.items()) == J[i][j]
+    # B.G.B^T must be the interleaved J: <x_k, y_k> = 1, every other 0
+    for i, row in enumerate(_form_rows(basis, Gb)):
+        assert row == ({i + 1: 1} if i % 2 == 0 else {i - 1: -1})
 
     # the class a of curve c solves a.J = p with p_k = <c, b_k> = (G b_k)[c],
     # so a = -p.J; for the interleaved J and p indexed from 1 that is
-    # (p_2, -p_1, p_4, -p_3, ...)
-    classes = {c: tuple(v for _, _, Gx, _, Gy in pairs
-                        for v in (Gy.get(i, 0), -Gx.get(i, 0)))
-               for i, c in enumerate(curves)}
+    # (p_2, -p_1, p_4, -p_3, ...), one pass over the pairs' G x and G y
+    entries: List[List[Tuple[int, int]]] = [[] for _ in curves]
+    for k, (_, _, Gx, _, Gy) in enumerate(pairs):
+        for i, v in Gy.items():
+            entries[i].append((2 * k, v))
+        for i, v in Gx.items():
+            entries[i].append((2 * k + 1, -v))
 
     form = IntersectionForm(
         genus=g,
-        matrix=tuple(tuple(row) for row in J),
-        base_change=tuple(tuple(b.get(k, 0) for k in range(n)) for b in basis),
         chords=curves,
-        chord_gram=tuple(tuple(row) for row in G),
-        classes=classes,
+        basis=tuple(basis),
+        classes={c: tuple(e) for c, e in zip(curves, entries)},
     )
     S._homology = form
     return form
@@ -335,10 +361,15 @@ def homology_basis(S: RibbonSurface) -> IntersectionForm:
 
 def curve_class(S: RibbonSurface, c: CurveId) -> Tuple[int, ...]:
     """Coordinates of a network curve in the symplectic basis, ordered
-    x1, y1, ..., xg, yg: a lookup in the class table of ``homology_basis``."""
+    x1, y1, ..., xg, yg: the row of the sparse class table of
+    ``homology_basis``, written out in full."""
     if not isinstance(c, (ACurve, BCurve)) or c not in S.curve_index:
         raise UnknownCurve(f"curve {c!r} is not on this surface")
-    return homology_basis(S).classes[c]
+    form = homology_basis(S)
+    h = [0] * (2 * form.genus)
+    for k, v in form.classes[c]:
+        h[k] = v
+    return tuple(h)
 
 
 # --- complementary regions ----------------------------------------------------

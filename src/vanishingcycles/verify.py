@@ -26,6 +26,7 @@ reported through warnings with no classification; they are not errors.
 from __future__ import annotations
 
 import json
+from math import gcd
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,10 +55,10 @@ from .spin import (
     SpinError,
     canonical_spin,
     is_admissible,
-    marked_network_curve,
 )
 from .surface import (
     SurfaceError,
+    homology_basis,
     inflate,
     relative_filling,
 )
@@ -246,7 +247,7 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         # the axes
         net = build_network(Q, (0, 0))
         S = inflate(Q, net)
-        spin = canonical_spin(Q, net, S)
+        canonical_spin(Q, net, S)  # raises unless the structure exists
     except (NetworkError, SurfaceError, SpinError) as exc:
         warnings.append(f"pipeline construction failed: {exc}")
         return _refusal(Q, g, r, False, gates, warnings)
@@ -261,9 +262,11 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         "vertices": len(S.vertices),
     })
 
-    hypotheses["H1"] = all(
-        is_admissible(marked_network_curve(S, spin, c)) for c in net.curve_list()
-    )
+    # a network curve has value 0 under the canonical structure by its
+    # definition, so it is admissible exactly when its class is primitive
+    classes = homology_basis(S).classes
+    hypotheses["H1"] = all(gcd(*(v for _, v in classes[c])) == 1
+                           for c in net.curve_list())
 
     dn = None
     try:

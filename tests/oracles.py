@@ -2,11 +2,14 @@
 
 Each function here recomputes something the package decides another way,
 so that the tests can compare the two: integer matrix products, Bareiss
-determinants, integer solving and GF(2) ranks; the spanning tree of an
-arboreal network's one-complex; isotopic pairs of segment curves; and a
-planar filling criterion that needs no ribbon surface; twist relations
-decided by integer matrix identities plus a replay on chosen test curves,
-and twist words compared by replaying them on the 2g basis curves;
+determinants, integer solving and GF(2) ranks; the symplectic reduction as a
+scan over every vector, and the dense views of the sparse intersection form
+(the crossing-sign matrix, the base change and B.G.B^T multiplied out in
+full); the spanning tree of an arboreal network's one-complex; isotopic
+pairs of segment curves; and a planar filling criterion that needs no
+ribbon surface; twist relations decided by integer matrix identities plus a
+replay on chosen test curves, and twist words compared by replaying them on
+the 2g basis curves;
 mod-2 groups enumerated element by element as bit-packed matrices, with
 form stabilizers found by filtering all of Sp(2g, Z/2); and the exterior-cube
 span closure on dense echelon rows, re-mapping the whole basis every round.
@@ -14,10 +17,12 @@ span closure on dense echelon rows, re-mapping the whole basis every round.
 
 import functools
 from fractions import Fraction
+from typing import NamedTuple
 
 from ribbon_oracle import curve_arcs
 
-from vanishingcycles.intlinalg import ext_gcd, smith_normal_form
+from vanishingcycles.intlinalg import _add_multiple, ext_gcd, smith_normal_form
+from vanishingcycles.intlinalg import _pairing as _sparse_pairing
 from vanishingcycles.lattice import genus
 from vanishingcycles.network import (
     ACurve,
@@ -32,7 +37,12 @@ from vanishingcycles.network import (
     intersection_graph,
 )
 from vanishingcycles.spin import _pairing, twist
-from vanishingcycles.surface import SurfaceError, complement_regions
+from vanishingcycles.surface import (
+    SurfaceError,
+    _crossing_signs,
+    complement_regions,
+    homology_basis,
+)
 from vanishingcycles.symp import (
     _anisotropic_vectors,
     _same_marked,
@@ -138,6 +148,92 @@ def rank_mod2(rows, ncols) -> int:
                 rank += 1
                 break
     return rank
+
+
+def standard_j(g: int) -> list[list[int]]:
+    """Interleaved symplectic form: <x_i, y_i> = +1 on basis x1,y1,...,xg,yg."""
+    J = [[0] * (2 * g) for _ in range(2 * g)]
+    for i in range(g):
+        J[2 * i][2 * i + 1] = 1
+        J[2 * i + 1][2 * i] = -1
+    return J
+
+
+def scan_reduction(rows):
+    """``intlinalg.symplectic_reduction`` as a scan: each step pairs x with
+    every vector left and sweeps all of them, with no index.  Same contract
+    and the same pivot rule, so the two return equal pairs and radicals."""
+    # M e_i is column i of M, which is minus row i
+    live = [({i: 1}, {j: -x for j, x in row}) for i, row in enumerate(rows)]
+    pairs = []
+    radical = []
+    while live:
+        x, Mx = live.pop(0)
+        p = [_sparse_pairing(x, Mw) for _, Mw in live]
+        k = min((i for i, v in enumerate(p) if v), key=lambda i: abs(p[i]),
+                default=None)
+        if k is None:
+            radical.append((x, Mx))
+            continue
+        y, My = live.pop(k)
+        d = p[k]
+        if d < 0:
+            y, My, d = ({j: -c for j, c in y.items()},
+                        {j: -c for j, c in My.items()}, -d)
+        while True:
+            best = None  # (remainder, index, pairs with y)
+            for i, (w, Mw) in enumerate(live):
+                a, b = _sparse_pairing(w, My), _sparse_pairing(w, Mx)
+                if not (a or b):
+                    continue
+                qa, qb = a // d, b // d
+                if qa:
+                    _add_multiple(w, -qa, x)
+                    _add_multiple(Mw, -qa, Mx)
+                if qb:
+                    _add_multiple(w, qb, y)
+                    _add_multiple(Mw, qb, My)
+                # now <w, y> = a - qa d and <w, x> = b - qb d
+                for r, with_y in ((a - qa * d, True), (b - qb * d, False)):
+                    if r and (best is None or r < best[0]):
+                        best = (r, i, with_y)
+            if best is None:
+                pairs.append((d, x, Mx, y, My))
+                break
+            d, i, with_y = best
+            w, Mw = live[i]
+            if with_y:
+                # <w, y> = d: w replaces x
+                live[i] = (x, Mx)
+                x, Mx = w, Mw
+            else:
+                # <x, -w> = <w, x> = d: -w replaces y
+                live[i] = (y, My)
+                y, My = ({j: -c for j, c in w.items()},
+                         {j: -c for j, c in Mw.items()})
+    return pairs, radical
+
+
+def dense_rows(rows, ncols) -> list:
+    """Sparse rows {j: entry} written out as lists of length ``ncols``."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+class DenseForm(NamedTuple):
+    gram: list  # the crossing-sign matrix G of the curves
+    base_change: list  # B: row i is basis class i over the curves
+    matrix: list  # B.G.B^T, multiplied out in full
+
+
+def dense_form(S) -> DenseForm:
+    """The dense views of the sparse intersection form of the surface S: G,
+    B and the full product B.G.B^T, which ``homology_basis`` checks row by
+    row through its index and which must be the standard J."""
+    form = homology_basis(S)
+    n = len(form.chords)
+    G = dense_rows(_crossing_signs(S), n)
+    B = dense_rows(form.basis, n)
+    return DenseForm(G, B, mat_mul(mat_mul(B, G), [list(c) for c in zip(*B)]))
 
 
 # --- networks and surfaces ---------------------------------------------------

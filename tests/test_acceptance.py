@@ -9,6 +9,8 @@ import math
 import random
 import time
 
+from oracles import dense_form
+
 from vanishingcycles.lattice import (
     Polygon,
     adjoint_divisibility,
@@ -151,7 +153,7 @@ def test_criterion_4_intersection_form():
         net = build_network(P)
         S = inflate(P, net)
         form = homology_basis(S)
-        gram = form.chord_gram
+        gram = dense_form(S).gram
         n = len(gram)
         assert all(gram[i][j] == -gram[j][i] for i in range(n)
                    for j in range(n))

@@ -6,7 +6,15 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det_bareiss, mat_mul, mat_vec, rank_mod2, solve_integer
+from oracles import (
+    det_bareiss,
+    mat_mul,
+    mat_vec,
+    rank_mod2,
+    scan_reduction,
+    solve_integer,
+    standard_j,
+)
 
 from vanishingcycles.intlinalg import (
     smith_normal_form,
@@ -15,7 +23,6 @@ from vanishingcycles.intlinalg import (
     support,
     symplectic_gram_schmidt,
     symplectic_reduction,
-    standard_j,
     solve_mod2,
 )
 
@@ -308,3 +315,49 @@ def test_reduction_agrees_with_smith_form(m):
         expect[2 * k][2 * k + 1], expect[2 * k + 1][2 * k] = d, -d
     b_t = [list(col) for col in zip(*basis)]
     assert (mat_mul(mat_mul(basis, m), b_t) if n else []) == expect
+
+
+@st.composite
+def sparse_antisymmetric_matrices(draw):
+    """Antisymmetric forms with n <= 10 and entries in [-3, 3], of any
+    density, sometimes scaled so that every pivot is a multiple of 2 or 3."""
+    n = draw(st.integers(0, 10))
+    density = draw(st.sampled_from((0.2, 0.5, 1.0)))
+    scale = draw(st.sampled_from((1, 1, 2, 3)))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.floats(0, 1)) < density:
+                m[i][j] = scale * draw(st.integers(-(3 // scale), 3 // scale))
+                m[j][i] = -m[i][j]
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_antisymmetric_matrices())
+def test_indexed_reduction_matches_the_scan(m):
+    # the index only filters the candidates, so the pairs, their pivots and
+    # the radical are the scan's, vector for vector
+    rows = [support(row) for row in m]
+    assert symplectic_reduction(rows) == scan_reduction(rows)
+
+
+def test_indexed_reduction_matches_the_scan_on_seeded_forms():
+    # a seeded sweep that is sure to meet pivots d > 1 and radicals
+    rng = random.Random(4000)
+    seen = {"pivot > 1": 0, "radical": 0}
+    for _ in range(2000):
+        n = rng.randint(0, 10)
+        density = rng.random()
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    m[i][j] = rng.randint(-3, 3)
+                    m[j][i] = -m[i][j]
+        rows = [support(row) for row in m]
+        pairs, radical = symplectic_reduction(rows)
+        assert (pairs, radical) == scan_reduction(rows)
+        seen["pivot > 1"] += any(d > 1 for d, *_ in pairs)
+        seen["radical"] += bool(radical)
+    assert min(seen.values()) > 100, seen

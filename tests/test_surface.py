@@ -2,9 +2,15 @@ import random
 
 import pytest
 from oracles import (
+    dense_form,
+    dense_rows,
     duplicate_pairs,
+    mat_mul,
+    mat_vec,
     planar_filling_oracle,
+    scan_reduction,
     spanning_tree_correspondence,
+    standard_j,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +22,8 @@ from ribbon_oracle import (
 )
 from ribbon_oracle import complement_regions as oracle_regions
 
-from vanishingcycles.intlinalg import smith_normal_form, standard_j
+from vanishingcycles import intlinalg, surface
+from vanishingcycles.intlinalg import _add_multiple, smith_normal_form
 from vanishingcycles.lattice import IDENTITY_MAP, Polygon, Segment
 from vanishingcycles.network import (
     ACurve,
@@ -37,6 +44,7 @@ from vanishingcycles.surface import (
     UnknownCurve,
     _completed_network,
     _crossing_signs,
+    _form_rows,
     complement_regions,
     curve_class,
     homology_basis,
@@ -202,7 +210,7 @@ def test_torus_form():
     S = inflate(TRIANGLE3, net)
     form = homology_basis(S)
     assert form.genus == 1
-    assert form.matrix == ((0, 1), (-1, 0))
+    assert dense_form(S).matrix == [[0, 1], [-1, 0]]
     a = curve_class(S, ACurve((1, 1)))
     b = curve_class(S, BCurve(Segment((1, 1), (1, 0))))
     # unit classes; the segment arrives at (1,1), so the pairing is -1
@@ -224,14 +232,15 @@ def test_triangle6_form_shape():
     assert form.chords == tuple(net.curve_list())
     assert len(form.chords) == 28  # 10 circles, 18 segment curves
     assert len(form.chords) - 2 * form.genus == 8  # radical of the curves
-    assert form.matrix == tuple(tuple(r) for r in standard_j(10))
-    assert len(form.base_change) == 2 * form.genus
+    dense = dense_form(S)
+    assert dense.matrix == standard_j(10)
+    assert len(dense.base_change) == 2 * form.genus
 
 
 def test_chord_gram_is_antisymmetric_and_unimodular_mod_radical():
     _, S = built(TRIANGLE6)
     form = homology_basis(S)
-    G = [list(r) for r in form.chord_gram]
+    G = dense_form(S).gram
     m = len(G)
     assert all(G[i][j] == -G[j][i] for i in range(m) for j in range(m))
     D, _, _ = smith_normal_form([r[:] for r in G])
@@ -247,19 +256,21 @@ def test_pairing_matches_crossing_signs_for_all_pairs(P):
     form = homology_basis(S)
     assert form.chords == tuple(net.curve_list())
     classes = [curve_class(S, c) for c in form.chords]
+    gram = dense_form(S).gram
     for i, c1 in enumerate(form.chords):
         for j, c2 in enumerate(form.chords):
             got = _pairing(classes[i], classes[j])
-            assert got == form.chord_gram[i][j] == expected_sign(c1, c2), (c1, c2)
+            assert got == gram[i][j] == expected_sign(c1, c2), (c1, c2)
 
 
 def assert_oracle_matches_sign_matrix(S, tree=None):
     # the ribbon pairing of the curves' dart cycles is the library's matrix
     form = homology_basis(S)
     pairing = curve_pairing(object_view(S.network), tree)
+    gram = dense_form(S).gram
     for i, c1 in enumerate(form.chords):
         for j, c2 in enumerate(form.chords):
-            assert pairing[c1, c2] == form.chord_gram[i][j], (c1, c2)
+            assert pairing[c1, c2] == gram[i][j], (c1, c2)
 
 
 def test_cycle_pairing_on_curve_cycles():
@@ -287,7 +298,7 @@ def test_concatenable_halves_drop_the_shared_circle():
     # meets the circle at the shared point
     net, S = built(TRIANGLE6)
     form = homology_basis(S)
-    J = form.matrix
+    J = dense_form(S).matrix
     n = 2 * form.genus
     b1 = curve_class(S, BCurve(Segment((-1, 0), (0, 0))))
     b2 = curve_class(S, BCurve(Segment((0, 0), (1, 0))))
@@ -309,8 +320,8 @@ def test_homology_is_cached_and_reproducible():
     _, S2 = built(TRIANGLE4)
     f1, f2 = homology_basis(S), homology_basis(S2)
     assert f1.chords == f2.chords
-    assert f1.chord_gram == f2.chord_gram
-    assert f1.base_change == f2.base_change
+    assert dense_form(S).gram == dense_form(S2).gram
+    assert dense_form(S).base_change == dense_form(S2).base_change
 
 
 def test_curve_class_unknown_inputs():
@@ -463,12 +474,12 @@ def assert_signs_match(S):
     the crossing-sign matrix, and in the homology form when the surface has
     one (a disconnected surface has none).  True when the form was read."""
     want = [[expected_sign(c1, c2) for c2 in S.curves] for c1 in S.curves]
-    assert _crossing_signs(S) == want
+    assert dense_rows(_crossing_signs(S), len(S.curves)) == want
     try:
         form = homology_basis(S)
     except SurfaceError:
         return False
-    assert form.chord_gram == tuple(map(tuple, want))
+    assert dense_form(S).gram == want
     return True
 
 
@@ -603,3 +614,109 @@ def test_relative_filling_fails_for_segment_crossing_nprime_badly():
 def test_relative_filling_fails_for_present_segment():
     net = build_network(TRIANGLE6)
     assert not relative_filling(TRIANGLE6, net, Segment((0, 0), (1, 0)))
+
+
+# --- the indexed homology against the dense views -------------------------------
+
+def triangle(d):
+    return Polygon(((0, 0), (d, 0), (0, d)))
+
+
+@pytest.mark.parametrize("P", list(PIPELINE_FAMILIES.values())
+                         + [triangle(d) for d in range(8, 23)],
+                         ids=sorted(PIPELINE_FAMILIES, key=list(PIPELINE_FAMILIES).index)
+                         + [f"triangle{d}" for d in range(8, 23)])
+def test_reduction_matches_the_scan_on_network_forms(P):
+    _, S = built(P)
+    rows = [list(row.items()) for row in _crossing_signs(S)]
+    assert intlinalg.symplectic_reduction(rows) == scan_reduction(rows)
+
+
+def products_by_gram(S):
+    """G b for each basis vector b, multiplied out from the dense G and B."""
+    dense = dense_form(S)
+    columns = (mat_vec(dense.gram, row) for row in dense.base_change)
+    return [{k: v for k, v in enumerate(col) if v} for col in columns]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(ADMISSIBLE_BASES), st.integers(-2, 2), st.integers(-2, 2),
+       st.integers(-4, 4), st.integers(-4, 4))
+def test_indexed_form_rows_are_the_dense_product(base, p, q, tx, ty):
+    # every row the indexed check builds is the row of B.G.B^T multiplied
+    # out in full: the entries it leaves out are the zeros of that row
+    _, S = built(sheared(base, p, q, tx, ty))
+    form = homology_basis(S)
+    dense = dense_form(S).matrix
+    rows = list(_form_rows(form.basis, products_by_gram(S)))
+    assert rows == [{j: v for j, v in enumerate(row) if v} for row in dense]
+    assert dense == standard_j(form.genus)
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def test_a_perturbed_basis_vector_fails_the_form_check(monkeypatch):
+    # x1 gains the curve e_k and G x1 gains G e_k, so every product stays
+    # true; the indexed check must fail exactly when the dense product
+    # shows that the basis is no longer symplectic
+    reduction = surface.symplectic_reduction
+    _, S = built(TRIANGLE6)
+    form = homology_basis(S)
+    G = dense_form(S).gram
+    outcomes = []
+    for k in range(len(form.chords)):
+        x1 = dict(form.basis[0])
+        _add_multiple(x1, 1, {k: 1})
+        B = dense_rows((x1,) + form.basis[1:], len(G))
+        broken = mat_mul(mat_mul(B, G), transpose(B)) != standard_j(form.genus)
+
+        def perturbed(rows):
+            rows = [list(row) for row in rows]
+            pairs, radical = reduction(rows)
+            d, x, Gx, y, Gy = pairs[0]
+            x, Gx = dict(x), dict(Gx)
+            _add_multiple(x, 1, {k: 1})
+            _add_multiple(Gx, 1, {j: -v for j, v in rows[k]})  # G e_k = -row k
+            return [(d, x, Gx, y, Gy)] + pairs[1:], radical
+
+        monkeypatch.setattr(surface, "symplectic_reduction", perturbed)
+        _, S = built(TRIANGLE6)
+        try:
+            homology_basis(S)
+        except AssertionError:
+            outcomes.append((k, broken, True))
+        else:
+            outcomes.append((k, broken, False))
+    assert all(broken == raised for _, broken, raised in outcomes), outcomes
+    # only a curve whose class is a multiple of y1 pairs with x1 alone, and
+    # adding it to x1 keeps the form; every other curve breaks it
+    kept = [k for k, broken, _ in outcomes if not broken]
+    assert kept == [k for k, c in enumerate(form.chords)
+                    if [i for i, _ in form.classes[c]] == [1]]
+    assert 0 < len(kept) < len(outcomes) // 4
+
+
+def test_pairings_grow_with_the_nonzeros(monkeypatch):
+    # an operation count, so the same on every run: a scan over every live
+    # vector per step makes 21 960 pairings at side 14 and grows about 18x
+    # to side 28, where n grows 4.3x; the indexed reduction and check grow
+    # with the nonzeros they touch
+    calls = []
+    pairing = intlinalg._pairing
+
+    def counted(u, Mw):
+        calls.append(None)
+        return pairing(u, Mw)
+
+    monkeypatch.setattr(intlinalg, "_pairing", counted)
+    monkeypatch.setattr(surface, "_pairing", counted)
+    counts = []
+    for d in (14, 28):
+        _, S = built(triangle(d))
+        del calls[:]
+        homology_basis(S)
+        counts.append(len(calls))
+    assert counts[0] == 714
+    assert counts[1] < 8 * counts[0]

@@ -262,12 +262,18 @@ def count_calls(monkeypatch, original, record=lambda *args: True):
             calls.append(args)
         return original(*args, **kwargs)
 
+    rebind(monkeypatch, original, counted)
+    return calls
+
+
+def rebind(monkeypatch, original, replacement):
+    """Replace ``original`` by ``replacement`` in every library namespace
+    that binds it."""
     for name, module in list(sys.modules.items()):
         if name == "vanishingcycles" or name.startswith("vanishingcycles."):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def test_side8_verdict_computes_each_fact_once(monkeypatch):
@@ -290,6 +296,26 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
         return scan(self, strict)
 
     monkeypatch.setattr(Polygon, "_scan", counted_scan)
+    # the inner hulls that adjoint takes, by the polygon they belong to
+    inner_hulls = Counter()
+    adjoint, hull = lattice.adjoint, lattice.convex_hull
+    asked = []  # the polygons adjoint is working on, innermost last
+
+    def counted_adjoint(P):
+        asked.append(P)
+        scanned.append(P)
+        try:
+            return adjoint(P)
+        finally:
+            asked.pop()
+
+    def counted_hull(points):
+        if asked:
+            inner_hulls[id(asked[-1])] += 1
+        return hull(points)
+
+    rebind(monkeypatch, adjoint, counted_adjoint)
+    monkeypatch.setattr(lattice, "convex_hull", counted_hull)
     report = check_networkgenset(Polygon(((0, 0), (8, 0), (0, 8))))
     assert report.classification == ODD_VERDICT
     assert len(smith) == 0
@@ -300,6 +326,7 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     assert len(segment_passes) == 1
     assert len(segment_pairs) == 32 * 31 // 2
     assert scanned and max(interior_scans.values()) == 1
+    assert inner_hulls and max(inner_hulls.values()) == 1
 
 
 # --- plane-curve and product corpus ---------------------------------------------
