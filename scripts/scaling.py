@@ -5,7 +5,7 @@ Run from the root of a checkout:
     python3 scripts/scaling.py --label change --out BENCH_scaling.json
 
 For each side d the triangle (0,0), (d,0), (0,d) (genus (d-1)(d-2)/2) is
-decided by ``check_networkgenset`` in a fresh interpreter, ``--repeat``
+decided by ``check_networkgenset`` in a fresh interpreter, ``REPEAT``
 times.  Each run records the verdict's wall time, the time spent inside
 ``surface.homology_basis`` during it (the first call does the work, later
 calls read the cache) and the process's peak resident set size.  A row holds
@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 SIDES = tuple(range(6, 47, 4))
+REPEAT = 3
 
 
 def measure(d: int) -> dict:
@@ -73,9 +74,9 @@ def measure(d: int) -> dict:
     }
 
 
-def row(d: int, repeat: int) -> dict:
+def row(d: int) -> dict:
     runs = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         out = subprocess.run([sys.executable, __file__, "--one", str(d)],
                              check=True, capture_output=True, text=True)
         runs.append(json.loads(out.stdout))
@@ -101,8 +102,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--one", type=int, help="measure the side-d triangle once, "
                     "in this process, and print the run as JSON")
-    ap.add_argument("--sides", type=int, nargs="+", default=SIDES)
-    ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_scaling.json")
     args = ap.parse_args()
@@ -111,8 +110,8 @@ def main() -> None:
         return
 
     rows = []
-    for d in args.sides:
-        rows.append(row(d, args.repeat))
+    for d in SIDES:
+        rows.append(row(d))
         r = rows[-1]
         print(f"side {d:3d}  g {r['g']:4d}  verdict {r['verdict_s']:8.3f} s  "
               f"homology {r['homology_basis_s']:8.3f} s  "
@@ -122,7 +121,7 @@ def main() -> None:
         "commit": commit(),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "rows": rows,
     }
     args.out.write_text(json.dumps(data, indent=1) + "\n")

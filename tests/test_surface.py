@@ -320,6 +320,8 @@ def test_homology_is_cached_and_reproducible():
     _, S2 = built(TRIANGLE4)
     f1, f2 = homology_basis(S), homology_basis(S2)
     assert f1.chords == f2.chords
+    assert f1.basis == f2.basis
+    assert f1.classes == f2.classes
     assert dense_form(S).gram == dense_form(S2).gram
     assert dense_form(S).base_change == dense_form(S2).base_change
 

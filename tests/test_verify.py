@@ -300,10 +300,11 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     inner_hulls = Counter()
     adjoint, hull = lattice.adjoint, lattice.convex_hull
     asked = []  # the polygons adjoint is working on, innermost last
+    hulled = []  # keeps each polygon adjoint is asked about alive
 
     def counted_adjoint(P):
         asked.append(P)
-        scanned.append(P)
+        hulled.append(P)
         try:
             return adjoint(P)
         finally:
@@ -326,7 +327,7 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     assert len(segment_passes) == 1
     assert len(segment_pairs) == 32 * 31 // 2
     assert scanned and max(interior_scans.values()) == 1
-    assert inner_hulls and max(inner_hulls.values()) == 1
+    assert hulled and inner_hulls and max(inner_hulls.values()) == 1
 
 
 # --- plane-curve and product corpus ---------------------------------------------
