@@ -295,16 +295,13 @@ def symplectic_gram_schmidt(M):
 def solve_mod2(rows, rhs, ncols):
     """One GF(2) solution x of rows @ x == rhs, or None if inconsistent.
 
-    Rows are bit-reduced; the right-hand side rides along as bit ``ncols``
-    of the augmented masks.
+    Each row is an int mask with bit j for column j < ``ncols``; the
+    right-hand side rides along as bit ``ncols`` of the augmented masks.
     """
     col_mask = (1 << ncols) - 1
     pivots: dict[int, int] = {}
     for row, b in zip(rows, rhs):
-        r = (b & 1) << ncols
-        for j in range(ncols):
-            if row[j] & 1:
-                r |= 1 << j
+        r = row | (b & 1) << ncols
         while r & col_mask:
             low = (r & -r).bit_length() - 1
             if low in pivots:

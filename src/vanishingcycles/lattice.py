@@ -127,14 +127,6 @@ class Polygon:
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
-    def twice_area(self) -> int:
-        vs = self.vertices
-        n = len(vs)
-        return sum(vs[i][0] * vs[(i + 1) % n][1] - vs[(i + 1) % n][0] * vs[i][1] for i in range(n))
-
-    def boundary_lattice_count(self) -> int:
-        return sum(gcd(abs(b[0] - a[0]), abs(b[1] - a[1])) for a, b in self.edges())
-
     def contains(self, p: Point, strict: bool = False) -> bool:
         for a, b in self.edges():
             c = _cross(a, b, p)
@@ -191,14 +183,6 @@ def convex_hull(points) -> Polygon:
 def genus(P: Polygon) -> int:
     """Number of interior lattice points."""
     return len(P.interior_points())
-
-
-def pick_genus(P: Polygon) -> int:
-    """Interior count via Pick's theorem: I = (2A - B + 2) / 2."""
-    two_a = P.twice_area()
-    b = P.boundary_lattice_count()
-    assert (two_a - b) % 2 == 0
-    return (two_a - b + 2) // 2
 
 
 @dataclass(frozen=True)
@@ -347,12 +331,6 @@ def canonical_form(P: Polygon):
         if best is None or key < best[0]:
             best = (key, Q, m)
     return best[1], best[2]
-
-
-def sublattice_points(P: Polygon, d: int) -> list[Point]:
-    """Lattice points of P lying in d Z^2."""
-    assert d >= 1
-    return [p for p in P.lattice_points() if p[0] % d == 0 and p[1] % d == 0]
 
 
 def polygon_to_json(P: Polygon) -> dict:

@@ -192,10 +192,6 @@ class Crossing:
     b: BCurve
 
 
-def crossing_sort_key(x: Crossing):
-    return (curve_sort_key(x.a), curve_sort_key(x.b))
-
-
 @dataclass
 class IntersectionGraph:
     vertices: list

@@ -4,21 +4,21 @@ A structure of modulus r assigns every oriented simple closed curve a value
 in Z/rZ subject to twist-linearity; it exists exactly when r divides 2g-2.
 The structure cannot be evaluated on bare homology classes (for r > 2 the
 value is not a homology invariant), so curves are carried around as
-``MarkedCurve`` records: a homology vector plus the value the construction
-rules force on it.  New marked curves arise only from network curves, from
-twisting, from smoothing integer combinations, and from joining two disjoint
-curves along an arc; each rule has its own value formula.
+``MarkedCurve`` records: a homology vector plus the value forced on it.
+Marked curves arise from network curves, which take the value zero, and
+from twisting, which moves the value by twist-linearity.
 
 The distinguished structure of a curve network assigns zero to every network
-curve.  For even moduli its mod-2 shadow is a classical quadratic form; the
-form and its Arf invariant are computed here as well.
+curve.  For even moduli its mod-2 shadow is a classical quadratic form,
+solved from the network's classes mod 2 held as bit masks; the form and its
+Arf invariant are computed here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .intlinalg import solve_mod2
 from .lattice import Polygon, genus
@@ -138,15 +138,6 @@ class QuadraticFormZ2:
         return total % 2
 
 
-def marked_basis_curve(spin: SpinStructure, i: int) -> MarkedCurve:
-    """The i-th basis curve of the structure's defining basis."""
-    n = 2 * spin.genus
-    if not 0 <= i < n:
-        raise SpinError(f"basis index {i} out of range")
-    h = tuple(1 if j == i else 0 for j in range(n))
-    return MarkedCurve(h, spin.values[i], spin.r, (f"basis[{i}]",))
-
-
 def marked_network_curve(S: RibbonSurface, spin: SpinStructure,
                          c: CurveId) -> MarkedCurve:
     """A network curve under the structure that vanishes on the network."""
@@ -179,7 +170,7 @@ def canonical_spin(P: Polygon, N: Network, S: RibbonSurface) -> SpinStructure:
             f"modulus {r} does not divide 2g-2 = {2 * g - 2}")
 
     curves = list(N.curve_list())
-    homology_basis(S)  # raises unless the curve classes generate H_1
+    form = homology_basis(S)  # raises unless the curve classes generate H_1
     n = 2 * g
 
     for family in (ACurve, BCurve):
@@ -194,22 +185,24 @@ def canonical_spin(P: Polygon, N: Network, S: RibbonSurface) -> SpinStructure:
         values = (0,) * n
     else:
         # q(h) = sum h_i q_i + sum h_{2k} h_{2k+1} must equal 1 on every
-        # network class; solve for the basis bits q_i
-        classes = [curve_class(S, c) for c in curves]
-        rows = [[x % 2 for x in h] for h in classes]
-        rhs = []
-        for h in rows:
-            corr = sum(h[2 * k] * h[2 * k + 1] for k in range(g))
-            rhs.append((1 + corr) % 2)
-        q_bits = solve_mod2(rows, rhs, n)
+        # network class; solve for the basis bits q_i on the classes mod 2,
+        # as masks with bit k for coordinate k
+        masks = [sum(1 << k for k, v in form.classes[c] if v % 2)
+                 for c in curves]
+        x_bits = (4 ** g - 1) // 3      # the bits of x1, ..., xg
+
+        def handle_sum(m):
+            return (m & (m >> 1) & x_bits).bit_count()
+
+        q_bits = solve_mod2(masks, [1 + handle_sum(m) for m in masks], n)
         if q_bits is None:
             raise InconsistentConstraints(
                 "network classes admit no mod-2 form")
-        form = QuadraticFormZ2(tuple(q_bits))
-        for h in classes:
-            if form.evaluate(h) != 1:
-                raise InconsistentConstraints(
-                    "mod-2 form fails on a network class")
+        q = sum(b << i for i, b in enumerate(q_bits))
+        if any(((m & q).bit_count() + handle_sum(m)) % 2 != 1
+               for m in masks):
+            raise InconsistentConstraints(
+                "mod-2 form fails on a network class")
         values = tuple((b + 1) % 2 for b in q_bits)
     return SpinStructure(r, values)
 
@@ -224,64 +217,10 @@ def twist(d: MarkedCurve, c: MarkedCurve) -> MarkedCurve:
                        d.provenance + (f"twist<{k}>",))
 
 
-def twist_power(d: MarkedCurve, c: MarkedCurve, k: int) -> MarkedCurve:
-    """k-fold twist; <h,c> is constant along the way since <c,c> = 0."""
-    if d.r != c.r or len(d.h) != len(c.h):
-        raise ModulusMismatch("curves live under different structures")
-    m = _pairing(d.h, c.h)
-    h = tuple(x + k * m * y for x, y in zip(d.h, c.h))
-    return MarkedCurve(h, d.phi + k * m * c.phi, d.r,
-                       d.provenance + (f"twist^{k}",))
-
-
-def smooth_sum(m: int, alpha: MarkedCurve, n: int,
-               beta: MarkedCurve) -> MarkedCurve:
-    """The smoothed combination m*alpha + n*beta.
-
-    Geometric side conditions are the caller's responsibility; the record is
-    tagged "single component" in the provenance when the homological data is
-    consistent with that reading (unit pairing, coprime coefficients).
-    """
-    if alpha.r != beta.r or len(alpha.h) != len(beta.h):
-        raise ModulusMismatch("curves live under different structures")
-    h = tuple(m * x + n * y for x, y in zip(alpha.h, beta.h))
-    tags = [f"smooth({m},{n})"]
-    if gcd(m, n) == 1 and abs(_pairing(alpha.h, beta.h)) == 1:
-        tags.append("single component")
-    return MarkedCurve(h, m * alpha.phi + n * beta.phi, alpha.r,
-                       alpha.provenance + tuple(tags))
-
-
-def curve_arc_sum(alpha: MarkedCurve, beta: MarkedCurve) -> MarkedCurve:
-    """Join two disjoint curves along an arc: values add and gain one."""
-    if alpha.r != beta.r or len(alpha.h) != len(beta.h):
-        raise ModulusMismatch("curves live under different structures")
-    h = tuple(x + y for x, y in zip(alpha.h, beta.h))
-    tags = ["arc-sum"]
-    if not any(h):
-        tags.append("separating")
-    return MarkedCurve(h, alpha.phi + beta.phi + 1, alpha.r,
-                       alpha.provenance + tuple(tags))
-
-
 def is_admissible(c: MarkedCurve) -> bool:
     """Zero value and primitive homology class, as for every nonseparating
     simple closed curve."""
     return c.phi % c.r == 0 and gcd(*c.h) == 1
-
-
-def coherence_check(boundary: Iterable[MarkedCurve], chi_sub: int) -> bool:
-    """Boundary values of a subsurface must sum to its Euler number mod r.
-
-    Curves are expected oriented with the subsurface to the left.
-    """
-    curves = list(boundary)
-    if not curves:
-        raise SpinError("a subsurface has at least one boundary curve")
-    r = curves[0].r
-    if any(c.r != r for c in curves):
-        raise ModulusMismatch("curves live under different structures")
-    return (sum(c.phi for c in curves) - chi_sub) % r == 0
 
 
 def q2(spin: SpinStructure) -> QuadraticFormZ2:
@@ -295,43 +234,3 @@ def arf(spin: SpinStructure) -> int:
     """Arf invariant of the mod-2 shadow."""
     form = q2(spin)
     return form.arf()
-
-
-def model_structure(g: int, r: int, parity: int) -> SpinStructure:
-    """Zero on the basis except the last curve, adjusted to the given Arf.
-
-    The all-zero assignment has Arf g mod 2; setting the value on y_g to 1
-    kills the last summand, giving g-1 mod 2.
-    """
-    if r % 2:
-        raise OddModulus("model parities require an even modulus")
-    if parity not in (0, 1):
-        raise SpinError("parity is a bit")
-    values = [0] * (2 * g)
-    if parity != g % 2:
-        values[2 * g - 1] = 1
-    return SpinStructure(r, tuple(values))
-
-
-def fundamental_multitwist_check(triple: Sequence[MarkedCurve],
-                                 exponents: Sequence[int],
-                                 tests: Iterable[MarkedCurve]) -> bool:
-    """Whether the multitwist with these exponents preserves every test value.
-
-    The triple is expected to bound a pair of pants (pairwise disjoint,
-    coherence sum -1); that reading is caller-asserted.
-    """
-    if len(triple) != 3 or len(exponents) != 3:
-        raise SpinError("a multitwist runs over three curves")
-    r = triple[0].r
-    if any(c.r != r for c in triple):
-        raise ModulusMismatch("curves live under different structures")
-    for t in tests:
-        if t.r != r:
-            raise ModulusMismatch("curves live under different structures")
-        out = t
-        for c, k in zip(triple, exponents):
-            out = twist_power(out, c, k)
-        if out.phi != t.phi:
-            return False
-    return True

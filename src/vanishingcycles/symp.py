@@ -9,9 +9,8 @@ act alike on the pairing vectors of the basis classes, replayed in m
 coordinates instead of 2g.  That decides the braid relation for
 once-intersecting pairs, the chain relations (the twist word around a
 chain equals the multitwist about its boundary) and the type-D relations
-for a chain with a forked end (Dynkin diagram D_n).  The nested boundary
-twist powers of a forked chain and the square-transvection identity are
-exact integer matrix identities.
+for a chain with a forked end (Dynkin diagram D_n).  The square-transvection
+identity is an exact integer matrix identity.
 
 Mod-2 questions - stabilizers of quadratic forms inside Sp(2g, Z/2), the
 subgroup generated by anisotropic transvections, and the orbit census of
@@ -450,66 +449,6 @@ def verify_dn(config: Sequence[MarkedCurve],
         exponent, multitwist = n - 1, [n] * ((n - 2) // 2) + [n + 1, n + 2]
     return _relation_holds(curves, pairings, n, exponent, multitwist,
                            NotDnPattern, disjoint=True)
-
-
-def nested_twist_power_check(config: Sequence[MarkedCurve],
-                             delta0: MarkedCurve,
-                             delta1: MarkedCurve,
-                             m: int) -> bool:
-    """Certify powers of the nested boundary twists of a forked chain.
-
-    For the odd configuration (a, a', c_1..c_{2G+1}) each truncation
-    (a, a', c_1..c_{2k-1}) spans a subsurface whose boundary is the
-    fork-side curve plus a nested curve of opposite class.  The relation for
-    the truncation expresses the product of those boundary twists as a word
-    in the configuration twists; combined with the even-truncation relation
-    (which certifies the G-th power of the fork-side twist, using ``delta1``)
-    this yields each nested twist to the power m as an explicit word whenever
-    G divides (2k-1)m.  All equalities are checked as exact matrix
-    identities.
-    """
-    _check_dn_pattern(config, _pairings(config)[0])
-    n = len(config)
-    if n % 2 == 0 or n < 5:
-        raise NotDnPattern("need an odd configuration with at least one full"
-                           " fork truncation")
-    big_g = (n - 3) // 2
-    z = delta0.h
-    dim = len(config[0].h)
-    if len(z) != dim or len(delta1.h) != dim:
-        raise NotDnPattern("boundary curves live under different structures")
-    for c in config:
-        if _pairing(z, c.h) != 0:
-            raise NotDnPattern("fork-side boundary must be disjoint from the"
-                               " configuration")
-    for c in config[:-1]:
-        if _pairing(delta1.h, c.h) != 0:
-            raise NotDnPattern("the even-truncation boundary must be disjoint"
-                               " from the truncation")
-    t_z = _twist_matrix(z)
-    # Even truncation certifies T_z^G as a configuration word.
-    even_cfg = list(config[:-1])
-    d1p_class = tuple(-a - b for a, b in zip(z, delta1.h))
-    w_even = word_matrix(even_cfg) ** (len(even_cfg) - 1)
-    if w_even != (t_z ** big_g) @ _twist_matrix(delta1.h) \
-            @ _twist_matrix(d1p_class):
-        return False
-    certified_tzg = w_even @ _twist_matrix(d1p_class).inverse() \
-        @ _twist_matrix(delta1.h).inverse()
-    for k in range(1, big_g + 2):
-        t = (2 * k - 1) * m
-        if t % big_g:
-            raise ConditionsViolated(
-                f"power {m} of nested curve {k} is not certified: {big_g}"
-                f" does not divide {t}")
-        sub = list(config[:2 + 2 * k - 1])
-        w_k = word_matrix(sub) ** (4 * k)
-        if w_k != t_z ** (2 * k):
-            return False
-        target = t_z ** m          # the nested curve has class -z
-        if target != (certified_tzg ** (-(t // big_g))) @ (w_k ** m):
-            return False
-    return True
 
 
 def square_transvection_identity(w: Sequence[int], v1: Sequence[int],

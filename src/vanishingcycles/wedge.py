@@ -2,10 +2,8 @@
 
 The third exterior power of the homology lattice carries the values of the
 bounding-pair homomorphism from the kernel of the homology action.  This
-module keeps exact integer coordinates on the basis of ordered triples,
-embeds the homology lattice by wedging with the total symplectic class,
-reduces modulo that image with a fixed section, and contracts triples back
-to homology vectors with the symplectic pairing.
+module keeps exact integer coordinates on the basis of ordered triples and
+contracts triples back to homology vectors with the symplectic pairing.
 
 Two constructive verifications live here: the generator families whose span
 is the contraction kernel, and a budgeted round closure that replays a fixed
@@ -20,23 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .intlinalg import ext_gcd
-from .spin import _pairing
-from .symp import SpMatrix, transvection
+from .symp import transvection
 
 
 class WedgeError(ValueError):
     pass
-
-
-class BadModulus(WedgeError):
-    """The requested modulus does not make the map well defined."""
-
-
-class NotSymplecticSubspace(WedgeError):
-    """The vectors do not span a standard symplectic subspace away from c."""
 
 
 class BudgetExceeded(WedgeError):
@@ -114,19 +103,6 @@ class Wedge3:
 
     __rmul__ = __mul__
 
-    def apply(self, m: Union[SpMatrix, Sequence[Sequence[int]]]) -> "Wedge3":
-        """Image under the cube of a matrix acting on column vectors."""
-        rows = m.rows if isinstance(m, SpMatrix) else [list(r) for r in m]
-        n = self.n
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise WedgeError("matrix does not act on this ambient rank")
-        cols = [_support(col) for col in zip(*rows)]
-        acc: Dict[Tuple[int, int, int], int] = {}
-        for (a, b, c), coeff in zip(_triples(n), self.coords):
-            if coeff:
-                _accumulate_wedge(acc, cols[a], cols[b], cols[c], coeff)
-        return _from_accumulator(n, acc)
-
 
 def _support(u: Sequence[int]) -> List[Tuple[int, int]]:
     """The nonzero entries of a vector as (index, value) pairs."""
@@ -167,105 +143,10 @@ def wedge(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> Wedge3:
     return _from_accumulator(n, acc)
 
 
-def embed_homology(v: Sequence[int]) -> Wedge3:
-    """v wedged with the total class x1^y1 + ... + xg^yg."""
-    n = len(v)
-    if n % 2:
-        raise WedgeError("ambient rank must be even")
-    out = Wedge3.zero(n)
-    for i in range(0, n, 2):
-        xi = tuple(int(j == i) for j in range(n))
-        yi = tuple(int(j == i + 1) for j in range(n))
-        out = out + wedge(v, xi, yi)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _section_pivots(n: int) -> Tuple[Tuple[int, Tuple[int, int, int]], ...]:
-    """For each basis vector, the triple coordinate its embedding owns.
-
-    The embedding of a vector outside the last handle shows up on the triple
-    made with the last handle; the two last-handle vectors show up on the
-    triples made with the first handle.  Those 2g coordinates are pairwise
-    distinct and each embedded basis vector has coefficient one on its own
-    pivot and zero on all others, so zeroing them is a fixed section of the
-    quotient.
-    """
-    if n < 4:
-        raise WedgeError("the quotient needs at least two handles")
-    out = []
-    for t in range(n - 2):
-        out.append((t, (t, n - 2, n - 1)))
-    out.append((n - 2, (0, 1, n - 2)))
-    out.append((n - 1, (0, 1, n - 1)))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class QuotientW3:
-    """Coset of the embedded homology lattice, held by a fixed representative.
-
-    Construction reduces the given element so that the coordinates owned by
-    the embedded basis vectors vanish; two elements of the same coset reduce
-    to the same representative, keeping all arithmetic integral.
-    """
-
-    representative: Wedge3
-
-    def __post_init__(self):
-        w = self.representative
-        if not isinstance(w, Wedge3):
-            raise WedgeError("a quotient element wraps a cube element")
-        n = w.n
-        index = _triple_index(n)
-        for t, pivot in _section_pivots(n):
-            coeff = w.coords[index[pivot]]
-            if coeff:
-                basis_vec = tuple(int(j == t) for j in range(n))
-                w = w - coeff * embed_homology(basis_vec)
-        object.__setattr__(self, "representative", w)
-
-    @property
-    def n(self) -> int:
-        return self.representative.n
-
-    def __add__(self, other: "QuotientW3") -> "QuotientW3":
-        return QuotientW3(self.representative + other.representative)
-
-    def __sub__(self, other: "QuotientW3") -> "QuotientW3":
-        return QuotientW3(self.representative - other.representative)
-
-    def __neg__(self) -> "QuotientW3":
-        return QuotientW3(-self.representative)
-
-    def __mul__(self, k: int) -> "QuotientW3":
-        return QuotientW3(self.representative * k)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.representative.is_zero()
-
-
-def contraction(w: Union[Wedge3, QuotientW3],
-                modulus: int = 0) -> Tuple[int, ...]:
-    """<x,y>z + <y,z>x + <z,x>y extended linearly, reduced mod the modulus.
-
-    On a plain cube element any nonnegative modulus is allowed (zero means
-    exact integers).  On a quotient element the modulus must be positive and
-    divide g - 1, since the embedded lattice contracts to g - 1 times the
-    vector; otherwise the map is not defined on cosets.
-    """
-    if isinstance(w, QuotientW3):
-        g = w.n // 2
-        if modulus < 1 or (g - 1) % modulus:
-            raise BadModulus(
-                f"the quotient map needs a positive modulus dividing {g - 1}")
-        w = w.representative
-    elif not isinstance(w, Wedge3):
-        raise WedgeError("contraction applies to cube or quotient elements")
-    if modulus < 0:
-        raise BadModulus("the modulus is nonnegative")
+def contraction(w: Wedge3) -> Tuple[int, ...]:
+    """<x,y>z + <y,z>x + <z,x>y extended linearly."""
+    if not isinstance(w, Wedge3):
+        raise WedgeError("contraction applies to cube elements")
     n = w.n
     out = [0] * n
 
@@ -283,41 +164,7 @@ def contraction(w: Union[Wedge3, QuotientW3],
         out[c] += mate_pair(a, b) * coeff
         out[a] += mate_pair(b, c) * coeff
         out[b] += mate_pair(c, a) * coeff
-    if modulus:
-        out = [x % modulus for x in out]
     return tuple(out)
-
-
-def johnson_bp(h: int, subsurface_basis: Sequence[Sequence[int]],
-               c_class: Sequence[int]) -> Wedge3:
-    """Value of a bounding-pair map on homology: (x1^y1 + ... + xh^yh) ^ c.
-
-    The basis lists the h dual pairs of the subsurface the pair cobounds,
-    interleaved; it must pair like the standard basis and the curve class
-    must be disjoint from it.
-    """
-    if h < 1 or len(subsurface_basis) != 2 * h:
-        raise NotSymplecticSubspace(
-            "the subsurface basis holds two vectors per handle")
-    vecs = [tuple(int(x) for x in v) for v in subsurface_basis]
-    c = tuple(int(x) for x in c_class)
-    n = len(c)
-    if any(len(v) != n for v in vecs):
-        raise NotSymplecticSubspace("vectors live in different ambient ranks")
-    for i in range(2 * h):
-        for j in range(i + 1, 2 * h):
-            want = 1 if (j == i + 1 and i % 2 == 0) else 0
-            if _pairing(vecs[i], vecs[j]) != want:
-                raise NotSymplecticSubspace(
-                    "the vectors do not pair like a standard basis")
-    for v in vecs:
-        if _pairing(v, c) != 0:
-            raise NotSymplecticSubspace(
-                "the curve class meets the subsurface")
-    out = Wedge3.zero(n)
-    for i in range(h):
-        out = out + wedge(vecs[2 * i], vecs[2 * i + 1], c)
-    return out
 
 
 def generators_K(g: int, r: int) -> List[Wedge3]:
@@ -326,7 +173,7 @@ def generators_K(g: int, r: int) -> List[Wedge3]:
     Family one: r times a basis vector wedged with a handle; family two: a
     basis vector wedged with a difference of handles; family three: triples
     drawn from three distinct handles.  Every element contracts to zero mod
-    r; on the quotient this needs r | g - 1.
+    r.
     """
     if g < 2:
         raise WedgeError("need at least two handles")
@@ -359,24 +206,6 @@ def generators_K(g: int, r: int) -> List[Wedge3]:
                     for b in (2 * j, 2 * j + 1):
                         for c in (2 * k, 2 * k + 1):
                             out.append(wedge(unit(a), unit(b), unit(c)))
-    return out
-
-
-def contraction_section(g: int) -> List[Wedge3]:
-    """Cube elements contracting to the basis vectors, one each.
-
-    A vector wedged with a handle it avoids contracts back to the vector, so
-    these complete any spanning set of the contraction kernel to the full
-    lattice.
-    """
-    n = 2 * g
-    out = []
-    for t in range(n):
-        i = 1 if t in (0, 1) else 0
-        xi = tuple(int(j == 2 * i) for j in range(n))
-        yi = tuple(int(j == 2 * i + 1) for j in range(n))
-        vt = tuple(int(j == t) for j in range(n))
-        out.append(wedge(vt, xi, yi))
     return out
 
 
@@ -501,16 +330,6 @@ class _LatticeBasis:
             r = _combine(pb, r, -pr, b)
             changed = True
         return changed
-
-    def basis_rows(self) -> List[List[int]]:
-        """The rows by pivot, written out densely."""
-        out = []
-        for c in sorted(self.rows):
-            dense = [0] * self.ncols
-            for i, v in self.rows[c].items():
-                dense[i] = v
-            out.append(dense)
-        return out
 
     def is_full(self) -> bool:
         """Whether the rows span all of Z^ncols: a triangular basis does

@@ -1,25 +1,29 @@
 """Independent re-derivations used only by the tests.
 
-Each function here recomputes something the package decides another way,
-so that the tests can compare the two: integer matrix products, Bareiss
-determinants, integer solving and GF(2) ranks; the symplectic reduction as a
-scan over every vector, and the dense views of the sparse intersection form
-(the crossing-sign matrix, the base change and B.G.B^T multiplied out in
-full); the spanning tree of an arboreal network's one-complex; isotopic
-pairs of segment curves; and a planar filling criterion that needs no
-ribbon surface; twist relations decided by integer matrix identities plus a
-replay on chosen test curves, and twist words compared by replaying them on
-the 2g basis curves;
-mod-2 groups enumerated element by element as bit-packed matrices, with
-form stabilizers found by filtering all of Sp(2g, Z/2); and the exterior-cube
-span closure on dense echelon rows, re-mapping the whole basis every round.
+Each function here recomputes something the package decides another way, so
+that the tests can compare the two: integer matrix products, Bareiss
+determinants, integer solving and GF(2) ranks; the genus by Pick's theorem;
+the symplectic reduction as a scan over every vector, and the dense views of
+the sparse intersection form (the crossing-sign matrix, the base change and
+B.G.B^T multiplied out in full); the spanning tree of an arboreal network's
+one-complex; isotopic pairs of segment curves; and a planar filling
+criterion that needs no ribbon surface; twist relations decided by integer
+matrix identities plus a replay on chosen test curves, and twist words
+compared by replaying them on the 2g basis curves; the coherence sum of
+boundary values against a subsurface's Euler number; mod-2 groups enumerated
+element by element as bit-packed matrices, with form stabilizers found by
+filtering all of Sp(2g, Z/2); the embedded homology lattice, a section of
+the contraction and the cube of a matrix acting on the exterior cube; and
+the exterior-cube span closure on dense echelon rows, re-mapping the whole
+basis every round.
 """
 
 import functools
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
-from ribbon_oracle import curve_arcs
+from ribbon_oracle import crossing_sort_key, curve_arcs
 
 from vanishingcycles.intlinalg import _add_multiple, ext_gcd, smith_normal_form
 from vanishingcycles.intlinalg import _pairing as _sparse_pairing
@@ -30,13 +34,12 @@ from vanishingcycles.network import (
     NetworkError,
     _find,
     _union,
-    crossing_sort_key,
     curve_crossings,
     curve_sort_key,
     graph_stats,
     intersection_graph,
 )
-from vanishingcycles.spin import _pairing, twist
+from vanishingcycles.spin import ModulusMismatch, SpinError, _pairing, twist
 from vanishingcycles.surface import (
     SurfaceError,
     _crossing_signs,
@@ -54,6 +57,7 @@ from vanishingcycles.symp import (
 )
 from vanishingcycles.wedge import (
     BudgetExceeded,
+    Wedge3,
     WedgeError,
     _induced_columns,
     _triples,
@@ -234,6 +238,17 @@ def dense_form(S) -> DenseForm:
     G = dense_rows(_crossing_signs(S), n)
     B = dense_rows(form.basis, n)
     return DenseForm(G, B, mat_mul(mat_mul(B, G), [list(c) for c in zip(*B)]))
+
+
+# --- lattice polygons ----------------------------------------------------------
+
+def pick_genus(P) -> int:
+    """Interior lattice points by Pick's theorem, I = (2A - B + 2) / 2, from
+    the shoelace area and the lattice lengths of the edges."""
+    two_a = sum(p[0] * q[1] - q[0] * p[1] for p, q in P.edges())
+    b = sum(gcd(abs(q[0] - p[0]), abs(q[1] - p[1])) for p, q in P.edges())
+    assert (two_a - b) % 2 == 0
+    return (two_a - b + 2) // 2
 
 
 # --- networks and surfaces ---------------------------------------------------
@@ -556,6 +571,20 @@ def braid_oracle(a, b) -> bool:
     return _same_marked(twist(twist(a, b), a), b)
 
 
+def coherence_check(boundary, chi_sub: int) -> bool:
+    """Boundary values of a subsurface must sum to its Euler number mod r.
+
+    Curves are expected oriented with the subsurface to the left.
+    """
+    curves = list(boundary)
+    if not curves:
+        raise SpinError("a subsurface has at least one boundary curve")
+    r = curves[0].r
+    if any(c.r != r for c in curves):
+        raise ModulusMismatch("curves live under different structures")
+    return (sum(c.phi for c in curves) - chi_sub) % r == 0
+
+
 # --- mod-2 groups by enumeration -------------------------------------------------
 # A matrix over Z/2 is bit-packed into one int: row i at bits i*n..i*n+n-1.
 
@@ -645,6 +674,43 @@ def stabilizer_filter_oracle(g: int, q) -> tuple:
     generated = anisotropic_closure_bits(g, q)
     assert generated <= stabilizer
     return len(stabilizer), generated == stabilizer
+
+
+# --- the exterior cube ------------------------------------------------------------
+
+def _unit(n: int, t: int) -> tuple:
+    return tuple(int(j == t) for j in range(n))
+
+
+def embed_homology(v) -> Wedge3:
+    """v wedged with the total class x1^y1 + ... + xg^yg."""
+    n = len(v)
+    out = Wedge3.zero(n)
+    for i in range(0, n, 2):
+        out = out + wedge(v, _unit(n, i), _unit(n, i + 1))
+    return out
+
+
+def contraction_section(g: int) -> list:
+    """Cube elements contracting to the basis vectors, one each: a vector
+    wedged with a handle it avoids contracts back to the vector."""
+    n = 2 * g
+    out = []
+    for t in range(n):
+        i = 1 if t in (0, 1) else 0
+        out.append(wedge(_unit(n, t), _unit(n, 2 * i), _unit(n, 2 * i + 1)))
+    return out
+
+
+def wedge3_apply(w: Wedge3, m) -> Wedge3:
+    """Image of a cube element under the cube of a matrix acting on column
+    vectors: each basis triple goes to the wedge of its image columns."""
+    cols = list(zip(*m.rows))
+    out = Wedge3.zero(w.n)
+    for (a, b, c), coeff in zip(_triples(w.n), w.coords):
+        if coeff:
+            out = out + coeff * wedge(cols[a], cols[b], cols[c])
+    return out
 
 
 # --- the exterior-cube span closure -----------------------------------------------

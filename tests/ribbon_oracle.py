@@ -25,7 +25,6 @@ from vanishingcycles.network import (
     CurveId,
     _find,
     _union,
-    crossing_sort_key,
     curve_crossings,
     curve_sort_key,
 )
@@ -64,6 +63,10 @@ def curve_arcs(net, curve) -> list:
     k = len(crossings)
     return [Arc(curve, i, crossings[i], crossings[(i + 1) % k])
             for i in range(k)]
+
+
+def crossing_sort_key(x: Crossing):
+    return (curve_sort_key(x.a), curve_sort_key(x.b))
 
 
 def vertex_key(v):

@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from oracles import dense_form
+from oracles import coherence_check, dense_form
 
 from vanishingcycles.lattice import (
     Polygon,
@@ -27,7 +27,6 @@ from vanishingcycles.spin import (
     MarkedCurve,
     QuadraticFormZ2,
     canonical_spin,
-    coherence_check,
     marked_network_curve,
     q2,
     twist,
@@ -261,7 +260,7 @@ def test_criterion_7_wedge_calculus():
                     == (0,) * n
 
     for element in generators_K(5, 3):
-        assert contraction(element, modulus=3) == (0,) * 10
+        assert all(x % 3 == 0 for x in contraction(element))
 
     assert lemma_next_closure(5, 0) is True
     assert lemma_next_closure(5, 1) is True

@@ -197,23 +197,31 @@ def test_render_highlight_uses_distinct_colors():
 # --- relations and orbits ---------------------------------------------------------
 
 def test_relations_suite_passes(capsys):
+    # the whole payload, byte for byte: every check by name, in order
     assert main(["relations", "--seed", "7"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["all_passed"] is True
-    assert data["checks"]["chain_2"] and data["checks"]["forked_chain_9"]
-    assert data["checks"]["square_transvection_g3"]
-    assert data["checks"]["span_closure_even"] and data["checks"]["span_closure_odd"]
+    checks = ["braid_dual_pair"]
+    checks += [f"chain_{n}" for n in range(2, 7)]
+    checks += [f"forked_chain_{n}" for n in range(3, 10)]
+    checks += ["square_transvection_g3", "word_action_consistency",
+               "contraction_basis_identities", "kernel_generators_vanish",
+               "span_closure_even", "span_closure_odd"]
+    payload = {"checks": dict.fromkeys(checks, True), "all_passed": True}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_orbits_enumeration(capsys):
+    # the whole payload, byte for byte
     assert main(["orbits"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["orbit_census_g2"] == {"even": 10, "odd": 6}
-    assert data["group_orders"] == {"g1": 6, "g2": 720, "g3": 1451520}
-    assert data["bfs_order_g2"] == 720
-    assert data["stabilizers_g2"]["odd"] == {
-        "order": 120, "generated_by_anisotropic": True}
-    assert data["stabilizers_g2"]["even"]["order"] == 72
+    payload = {
+        "orbit_census_g2": {"even": 10, "odd": 6},
+        "group_orders": {"g1": 6, "g2": 720, "g3": 1451520},
+        "bfs_order_g2": 720,
+        "stabilizers_g2": {
+            "even": {"order": 72, "generated_by_anisotropic": False},
+            "odd": {"order": 120, "generated_by_anisotropic": True},
+        },
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_out_flag_writes_file(poly6, tmp_path, capsys):

@@ -208,6 +208,11 @@ def test_symplectic_gram_schmidt_property(case):
     assert mat_mul(mat_mul(basis, m), b_t) == standard_j(g)
 
 
+def bit_masks(rows):
+    """Each row mod 2 as the int mask that ``solve_mod2`` takes."""
+    return [sum((x & 1) << j for j, x in enumerate(row)) for row in rows]
+
+
 def test_solve_mod2_against_brute_force():
     rng = random.Random(13)
     seen = {True: 0, False: 0}
@@ -218,7 +223,7 @@ def test_solve_mod2_against_brute_force():
         solutions = [x for x in itertools.product((0, 1), repeat=n)
                      if all(sum(a * b for a, b in zip(row, x)) % 2 == c % 2
                             for row, c in zip(rows, rhs))]
-        x = solve_mod2(rows, rhs, n)
+        x = solve_mod2(bit_masks(rows), rhs, n)
         seen[bool(solutions)] += 1
         if solutions:
             assert tuple(x) in solutions
@@ -240,7 +245,7 @@ def test_solve_mod2_against_ranks():
         augmented = [row + [b] for row, b in zip(rows, rhs)]
         solvable = rank_mod2(rows, n) == rank_mod2(augmented, n + 1)
         seen[solvable] += 1
-        x = solve_mod2(rows, rhs, n)
+        x = solve_mod2(bit_masks(rows), rhs, n)
         assert (x is not None) == solvable
         if x is not None:
             assert all(sum(a * b for a, b in zip(row, x)) % 2 == b % 2

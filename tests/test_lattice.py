@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from oracles import pick_genus
 
 from vanishingcycles.lattice import (
     Polygon,
@@ -16,7 +17,6 @@ from vanishingcycles.lattice import (
     LatticeError,
     convex_hull,
     genus,
-    pick_genus,
     adjoint,
     divisibility,
     adjoint_divisibility,
@@ -25,7 +25,6 @@ from vanishingcycles.lattice import (
     UnimodularMap,
     kappa_standard_embedding,
     canonical_form,
-    sublattice_points,
     polygon_to_json,
     polygon_from_json,
     primitive,
@@ -191,11 +190,6 @@ def test_non_smooth_corner_raises_in_normalization():
         except NoUnimodularNormalization:
             bad.append(v)
     assert bad  # at least one corner of this adjoint is singular
-
-
-def test_sublattice_points():
-    pts = sublattice_points(TRIANGLE6, 3)
-    assert set(pts) == {(0, 0), (3, 0), (6, 0), (0, 3), (3, 3), (0, 6)}
 
 
 def test_segment_normalization_and_errors():

@@ -1,0 +1,92 @@
+"""Every top-level function and class of the package is reached from a root.
+
+The roots are the ``vcycles`` entry point, the verdict
+``check_networkgenset``, the package's module-level code, and every name
+that the demos, the scripts and the benchmark mention; the benchmark binds
+functions by string, so identifier strings count as names.  A definition
+that is reached makes every name its body mentions reached, whatever the
+module: matching by name alone errs toward keeping code.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "vanishingcycles"
+USERS = ("demos", "scripts", "bench")
+
+# the ``vcycles`` console script and the verdict
+ROOTS = {"main", "check_networkgenset"}
+
+# kept without a caller among the roots, each for its reason
+ALLOWED = {
+    "network_from_json": "reads back what the `network` subcommand writes "
+                         "with network_to_json",
+    "report_json": "the canonical report bytes, identical across unimodular "
+                   "images, that tests/data/reports.json pins",
+}
+
+
+def _names(node) -> set:
+    """The identifiers a syntax tree mentions: names, attributes, imported
+    names, and the dotted parts of string constants."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(sub.name.split("."))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(p for p in sub.value.split(".") if p.isidentifier())
+    return out
+
+
+def _package():
+    """The top-level definitions by name, as (module, node) pairs, and the
+    names mentioned by the module-level code that runs on import."""
+    defs, module_level = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.stem, node))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue    # a binding, not a use
+            elif not (isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)):
+                module_level |= _names(node)
+    return defs, module_level
+
+
+def _reached(defs, roots) -> set:
+    reached, frontier = set(roots), list(roots)
+    while frontier:
+        for _, node in defs.get(frontier.pop(), ()):
+            fresh = _names(node) - reached
+            reached |= fresh
+            frontier.extend(fresh)
+    return reached
+
+
+def _user_names() -> set:
+    out = set()
+    for folder in USERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            out |= _names(ast.parse(path.read_text()))
+    return out
+
+
+def test_every_definition_is_reached_from_a_root():
+    defs, module_level = _package()
+    reached = _reached(defs, ROOTS | module_level | _user_names())
+    unreached = sorted(f"{module}.{name}" for name, where in defs.items()
+                       for module, _ in where
+                       if name not in reached and name not in ALLOWED)
+    assert not unreached, ("no root reaches these definitions; delete them, "
+                           f"or move a test oracle to tests/: {unreached}")
+    # an entry that a root reaches, or that is gone, needs no reason
+    stale = [name for name in ALLOWED if name not in defs or name in reached]
+    assert not stale, f"stale allowlist entries: {stale}"

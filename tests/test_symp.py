@@ -8,6 +8,7 @@ from oracles import (
     basis_replay_oracle,
     braid_oracle,
     chain_oracle,
+    coherence_check,
     dn_oracle,
     stabilizer_filter_oracle,
 )
@@ -19,7 +20,6 @@ from vanishingcycles.spin import (
     MarkedCurve,
     QuadraticFormZ2,
     canonical_spin,
-    coherence_check,
     is_admissible,
     marked_network_curve,
 )
@@ -42,7 +42,6 @@ from vanishingcycles.symp import (
     apply_word,
     model_chain,
     model_dn,
-    nested_twist_power_check,
     quadratic_form_orbits,
     sp_mod2_bfs_order,
     sp_mod2_order,
@@ -498,44 +497,6 @@ def test_relations_match_the_basis_replay_at_benchmark_sizes():
     assert seen == {(False, True), (True, True), (True, False)}
 
 
-# --- certified powers of the nested boundary twists ------------------------------
-
-def test_nested_twist_powers_model():
-    cfg, bnd, dim = dn_model(9)   # three-handle truncation tower
-    r = 3
-    config = [mc(v, 0, r) for v in cfg]
-    delta0 = mc(bnd[0], 0, r)
-    delta1 = mc(yv(dim, 4), 0, r)
-    assert nested_twist_power_check(config, delta0, delta1, m=3)
-    assert nested_twist_power_check(config, delta0, delta1, m=6)
-    with pytest.raises(ConditionsViolated):
-        nested_twist_power_check(config, delta0, delta1, m=2)
-
-
-def test_nested_twist_powers_smaller_towers():
-    cfg, bnd, dim = dn_model(7)   # two handles: even powers certified
-    config = [mc(v) for v in cfg]
-    delta0 = mc(bnd[0])
-    delta1 = mc(yv(dim, 3))
-    assert nested_twist_power_check(config, delta0, delta1, m=2)
-    with pytest.raises(ConditionsViolated):
-        nested_twist_power_check(config, delta0, delta1, m=1)
-    cfg, bnd, dim = dn_model(5)   # one handle: every power certified
-    config = [mc(v) for v in cfg]
-    assert nested_twist_power_check(config, mc(bnd[0]), mc(yv(dim, 2)), m=1)
-
-
-def test_nested_twist_powers_needs_odd_tower():
-    cfg, bnd, dim = dn_model(6)
-    config = [mc(v) for v in cfg]
-    with pytest.raises(NotDnPattern):
-        nested_twist_power_check(config, mc(bnd[0]), mc(bnd[1]), m=2)
-    cfg, bnd, dim = dn_model(3)
-    with pytest.raises(NotDnPattern):
-        nested_twist_power_check([mc(v) for v in cfg], mc(bnd[0]),
-                                 mc(bnd[1]), m=1)
-
-
 # --- the square of a twist as a chain word ---------------------------------------
 
 def test_square_transvection_identity_holds():
@@ -714,16 +675,3 @@ def test_network_dn_relation(side6):
     # one-handle piece, the whole neighborhood a four-handle piece
     assert coherence_check([delta0], -1)
     assert coherence_check([delta0, delta2], -8)
-
-
-def test_network_nested_twist_powers(side6):
-    net, S, spin = side6
-    dn = dn_configuration(net)
-    config = [marked_network_curve(S, spin, c)
-              for c in (dn.a, dn.a_prime, *dn.chain)]
-    z = add(config[0].h, config[1].h)
-    delta0 = MarkedCurve(z, 2, spin.r)
-    delta1 = marked_network_curve(S, spin, dn.delta1).reverse()
-    assert nested_twist_power_check(config, delta0, delta1, m=3)
-    with pytest.raises(ConditionsViolated):
-        nested_twist_power_check(config, delta0, delta1, m=1)
