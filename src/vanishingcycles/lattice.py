@@ -76,10 +76,6 @@ class Segment:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
 
-    @property
-    def direction(self) -> Point:
-        return (self.b[0] - self.a[0], self.b[1] - self.a[1])
-
     def endpoints(self) -> tuple[Point, Point]:
         return (self.a, self.b)
 
@@ -133,9 +129,6 @@ class Polygon:
             if c < 0 or (strict and c == 0):
                 return False
         return True
-
-    def on_boundary(self, p: Point) -> bool:
-        return self.contains(p) and not self.contains(p, strict=True)
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [v[0] for v in self.vertices]
@@ -193,13 +186,6 @@ class Adjoint:
     polygon: Polygon | None = None
     point: Point | None = None
     segment_ends: tuple[Point, Point] | None = None
-
-    @property
-    def lattice_length(self) -> int | None:
-        if self.kind != "segment":
-            return None
-        (ax, ay), (bx, by) = self.segment_ends
-        return gcd(abs(bx - ax), abs(by - ay))
 
 
 def adjoint(P: Polygon) -> Adjoint:
@@ -275,14 +261,6 @@ class UnimodularMap:
         it = (-(inv[0][0] * self.shift[0] + inv[0][1] * self.shift[1]),
               -(inv[1][0] * self.shift[0] + inv[1][1] * self.shift[1]))
         return UnimodularMap(inv, it)
-
-    def compose(self, other: "UnimodularMap") -> "UnimodularMap":
-        """self after other."""
-        (a, b), (c, d) = self.lin
-        (e, f), (g, h) = other.lin
-        lin = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-        shift = self.apply(other.shift)
-        return UnimodularMap(lin, shift)
 
 
 IDENTITY_MAP = UnimodularMap(((1, 0), (0, 1)))

@@ -9,7 +9,10 @@ graph, the distinguished subnetwork obtained by deleting the circle at (0,1),
 and the chain configuration used by the disk-bundle relation checks.
 
 All coordinates are normalized so that the anchor corner sits at the origin
-with its two inner-hull edges along the positive axes.
+with its two inner-hull edges along the positive axes.  No two segment
+curves of a built network cross (see ``build_network``), so only a network
+read from outside, by ``network_from_json``, has all its segment pairs
+checked.
 """
 
 from __future__ import annotations
@@ -107,15 +110,12 @@ class Network:
     embedding: UnimodularMap
     r: int
     adjoint_polygon: Polygon
-    # facts of the curve set, each built once: the sorted curves, the
-    # segment curves at each point, and whether the segment pairs passed
-    # check_network_invariants; a network's clauses do not change
+    # facts of the curve set, each built once: the sorted curves and the
+    # segment curves at each point; a network's clauses do not change
     _curves: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False)
     _incident: Optional[dict] = field(
         default=None, init=False, repr=False, compare=False)
-    _segments_checked: bool = field(
-        default=False, init=False, repr=False, compare=False)
 
     def __contains__(self, curve: CurveId) -> bool:
         return curve in self.clauses
@@ -152,11 +152,8 @@ class Network:
     def without(self, curve: CurveId) -> "Network":
         if curve not in self.clauses:
             raise MissingCurve(f"curve {curve} not in network")
-        remaining = {c: k for c, k in self.clauses.items() if c != curve}
-        net = replace(self, clauses=remaining)
-        # fewer curves cannot cross worse
-        net._segments_checked = self._segments_checked
-        return net
+        return replace(self, clauses={c: k for c, k in self.clauses.items()
+                                      if c != curve})
 
 
 @dataclass(frozen=True)
@@ -315,6 +312,24 @@ def build_network(P: Polygon, kappa: Optional[Point] = None) -> Network:
     ``kappa`` is a vertex of the inner hull in the coordinates of ``P``; when
     omitted, the corner selected by ``canonical_form`` is used.  The returned
     network carries the normalized polygon and the map that produced it.
+
+    No two segment curves cross, so no pair is checked.  In the normalized
+    frame the anchor is the origin and the adjoint lies in the closed first
+    quadrant:
+
+    1. Clause-4 segments join consecutive lattice points on lines through
+       the origin, so two of them meet at most at a shared endpoint; their
+       lines avoid the open sigma, tau and b (``_line_blocked``), so none
+       of them crosses sigma, tau or b.
+    2. sigma runs from (0, k), k >= 1, along an adjoint edge, so it lies in
+       x >= 0, y >= 0.
+    3. tau = (0, -1)-(r, 0) lies in y <= 0 and reaches y = 0 only at its
+       endpoint.
+    4. b = (-1, 1)-(0, 1), the segment kept out of the network, lies on
+       y = 1 with x <= 0.
+
+    So sigma, tau and b meet pairwise at most at an endpoint, which
+    ``_segment_intersection`` never counts as a crossing.
     """
     adj = adjoint(P)
     if adj.kind != "polygon":
@@ -355,9 +370,7 @@ def build_network(P: Polygon, kappa: Optional[Point] = None) -> Network:
     for seg in _clause4_segments(Q, excluded):
         clauses.setdefault(BCurve(seg), 4)
 
-    net = Network(Q, (0, 0), clauses, emb, r, adjQ)
-    check_network_invariants(net)
-    return net
+    return Network(Q, (0, 0), clauses, emb, r, adjQ)
 
 
 def geometric_intersection(c1: CurveId, c2: CurveId) -> int:
@@ -391,25 +404,23 @@ def _segment_intersection(s1: Segment, s2: Segment) -> int:
 
 
 def check_network_invariants(net: Network) -> None:
-    """Pairwise intersections are 0/1 with no transversal interior crossings.
+    """Validate a network from outside: pairwise intersections are 0/1 with
+    no transversal interior crossings.
 
     Only two segment curves can cross badly (``geometric_intersection`` of a
-    circle is always 0 or 1), so the segment pairs are checked, once per
-    network object; ``UnsupportedPair`` is raised for a bad pair."""
-    if net._segments_checked:
-        return
+    circle is always 0 or 1), so every segment pair is checked on each call;
+    ``UnsupportedPair`` is raised for a bad pair.  ``build_network`` needs no
+    such check."""
     segments = [b.segment for b in net.b_curves()]
     for i, s in enumerate(segments):
         for t in segments[i + 1:]:
             _segment_intersection(s, t)
-    net._segments_checked = True
 
 
 def intersection_graph(net: Network) -> IntersectionGraph:
     """Curves and the pairs of them that meet once: each circle with the
     segment curves ending at its point (``geometric_intersection`` is the
     pairwise definition)."""
-    check_network_invariants(net)
     edges = [(a, b) for a in net.a_curves() for b in net.segments_at(a.point)]
     return IntersectionGraph(net.curve_list(), edges)
 

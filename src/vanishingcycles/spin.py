@@ -102,10 +102,6 @@ class MarkedCurve:
         object.__setattr__(self, "h", tuple(int(x) for x in self.h))
         object.__setattr__(self, "phi", self.phi % self.r)
 
-    def reverse(self) -> "MarkedCurve":
-        return MarkedCurve(tuple(-x for x in self.h), -self.phi, self.r,
-                           self.provenance + ("reverse",))
-
 
 @dataclass(frozen=True)
 class QuadraticFormZ2:

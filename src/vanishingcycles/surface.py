@@ -53,7 +53,6 @@ from .network import (
     UnsupportedPair,
     _find,
     _union,
-    check_network_invariants,
     curve_crossings,
     geometric_intersection,
 )
@@ -459,13 +458,13 @@ def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
 
 def _completed_network(nprime: Network, b: BCurve) -> Optional[Network]:
     """``nprime`` plus b plus the circles at b's interior endpoints, or None
-    when b is in ``nprime`` already or a segment curve crosses another
-    badly.  Only the pairs with b are new to check."""
+    when b is in ``nprime`` already or crosses one of its segment curves
+    badly.  The segment curves of ``nprime`` do not cross each other
+    (``build_network``), so only the pairs with b are checked."""
     clauses = dict(nprime.clauses)
     if b in clauses:
         return None
     try:
-        check_network_invariants(nprime)
         for c in nprime.b_curves():
             geometric_intersection(b, c)
     except UnsupportedPair:
@@ -474,6 +473,4 @@ def _completed_network(nprime: Network, b: BCurve) -> Optional[Network]:
     for p in b.segment.endpoints():
         if nprime.polygon.contains(p, strict=True):
             clauses.setdefault(ACurve(p), 0)
-    completed = replace(nprime, clauses=clauses)
-    completed._segments_checked = True
-    return completed
+    return replace(nprime, clauses=clauses)

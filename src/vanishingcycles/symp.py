@@ -136,11 +136,6 @@ class SpMatrix:
                 out = out @ base
         return out
 
-    def mod(self, m: int) -> Tuple[Tuple[int, ...], ...]:
-        if m < 1:
-            raise SympError("modulus must be positive")
-        return tuple(tuple(x % m for x in row) for row in self.rows)
-
 
 def _twist_matrix(v: Sequence[int]) -> SpMatrix:
     """Matrix of the twist about a curve of class v; the zero class (a
@@ -453,15 +448,12 @@ def verify_dn(config: Sequence[MarkedCurve],
 
 def square_transvection_identity(w: Sequence[int], v1: Sequence[int],
                                  v2: Sequence[int], v3: Sequence[int],
-                                 q: Optional[QuadraticFormZ2] = None,
-                                 modulus: Optional[int] = None) -> bool:
+                                 q: Optional[QuadraticFormZ2] = None) -> bool:
     """(T_{v1} T_{v2} T_{v3})^4 = T_w^2 for a 3-chain with w = v1 + v3.
 
     Requires <v1,v2> = <v2,v3> = 1, <v1,v3> = 0, each v_i orthogonal to w,
     and w = v1 + v3.  When a mod-2 form is supplied, each v_i must be
-    anisotropic for it, so that the twist about v_i fixes the form.  With a
-    modulus the comparison happens in the reduced matrix ring instead of
-    over the integers.
+    anisotropic for it, so that the twist about v_i fixes the form.
     """
     if _pairing(v1, v2) != 1 or _pairing(v2, v3) != 1:
         raise ConditionsViolated("consecutive pairings must equal 1")
@@ -479,10 +471,7 @@ def square_transvection_identity(w: Sequence[int], v1: Sequence[int],
                     "each v_i must be anisotropic so its twist fixes the"
                     " form")
     lhs = (transvection(v1) @ transvection(v2) @ transvection(v3)) ** 4
-    rhs = transvection(w) ** 2
-    if modulus is None:
-        return lhs == rhs
-    return lhs.mod(modulus) == rhs.mod(modulus)
+    return lhs == transvection(w) ** 2
 
 
 # ---------------------------------------------------------------------------

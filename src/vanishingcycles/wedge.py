@@ -76,13 +76,6 @@ class Wedge3:
                              " basis")
         object.__setattr__(self, "coords", coords)
 
-    @classmethod
-    def zero(cls, n: int) -> "Wedge3":
-        return cls(n, (0,) * len(_triples(n)))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def _binary(self, other: "Wedge3", op) -> "Wedge3":
         if not isinstance(other, Wedge3) or other.n != self.n:
             raise WedgeError("mixed ambient ranks")

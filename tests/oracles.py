@@ -385,7 +385,7 @@ def planar_filling_oracle(P, net) -> bool:
     marked = set(Q.vertices)
     for s in segs:
         for p in s.endpoints():
-            if Q.on_boundary(p):
+            if Q.contains(p) and not Q.contains(p, strict=True):
                 marked.add(p)
     perimeter = []
     verts = Q.vertices
@@ -685,7 +685,7 @@ def _unit(n: int, t: int) -> tuple:
 def embed_homology(v) -> Wedge3:
     """v wedged with the total class x1^y1 + ... + xg^yg."""
     n = len(v)
-    out = Wedge3.zero(n)
+    out = Wedge3(n, (0,) * len(_triples(n)))
     for i in range(0, n, 2):
         out = out + wedge(v, _unit(n, i), _unit(n, i + 1))
     return out
@@ -706,7 +706,7 @@ def wedge3_apply(w: Wedge3, m) -> Wedge3:
     """Image of a cube element under the cube of a matrix acting on column
     vectors: each basis triple goes to the wedge of its image columns."""
     cols = list(zip(*m.rows))
-    out = Wedge3.zero(w.n)
+    out = Wedge3(w.n, (0,) * len(w.coords))
     for (a, b, c), coeff in zip(_triples(w.n), w.coords):
         if coeff:
             out = out + coeff * wedge(cols[a], cols[b], cols[c])

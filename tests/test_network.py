@@ -3,10 +3,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import NotArboreal, spanning_tree_correspondence
 from ribbon_oracle import Arc, curve_arcs
 
-from vanishingcycles.lattice import IDENTITY_MAP, LatticeError, Polygon, Segment
+from vanishingcycles.lattice import (
+    IDENTITY_MAP,
+    LatticeError,
+    Polygon,
+    Segment,
+    adjoint,
+    convex_hull,
+)
 from vanishingcycles.network import (
     ACurve,
     BCurve,
@@ -30,6 +39,7 @@ from vanishingcycles.network import (
     subnetwork_nprime,
     valid_b_segment,
 )
+from vanishingcycles.surface import _completed_network
 
 TRIANGLE6 = Polygon(((0, 0), (6, 0), (0, 6)))
 TRIANGLE4 = Polygon(((0, 0), (4, 0), (0, 4)))
@@ -154,7 +164,8 @@ def test_triangle6_line_directions():
     for b in net.b_curves():
         if net.clause(b) != 4:
             continue
-        dx, dy = b.segment.direction
+        (ax, ay), (bx, by) = b.segment.endpoints()
+        dx, dy = bx - ax, by - ay
         if (dx, dy) < (0, 0) or dx < 0:
             dx, dy = -dx, -dy
         per_dir[(dx, dy)] = per_dir.get((dx, dy), 0) + 1
@@ -222,7 +233,8 @@ def test_square_counts_and_directions():
     for b in net.b_curves():
         if net.clause(b) != 4:
             continue
-        dx, dy = b.segment.direction
+        (ax, ay), (bx, by) = b.segment.endpoints()
+        dx, dy = bx - ax, by - ay
         if dx < 0 or (dx == 0 and dy < 0):
             dx, dy = -dx, -dy
         dirs.add((dx, dy))
@@ -266,6 +278,35 @@ def test_geometric_intersection_table():
         geometric_intersection(diag, anti)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                min_size=3, max_size=8))
+def test_built_networks_are_crossing_free(points):
+    # build_network checks no segment pair, on the argument in its
+    # docstring; this is the test that guards that argument
+    try:
+        P = convex_hull(points)
+    except LatticeError:
+        return
+    inner = adjoint(P)
+    if inner.kind != "polygon":
+        return
+    for kappa in inner.polygon.vertices:
+        try:
+            net = build_network(P, kappa)
+        except NetworkError:
+            continue
+        check_network_invariants(net)
+        try:
+            dn = dn_configuration(net)
+        except ConfigurationUnavailable:
+            continue
+        completed = _completed_network(subnetwork_nprime(net),
+                                       BCurve(dn.b_segment))
+        assert completed is not None
+        check_network_invariants(completed)
+
+
 def test_network_invariant_checker_rejects_crossing_segments():
     net = build_network(TRIANGLE4)
     bad = Network(
@@ -279,8 +320,6 @@ def test_network_invariant_checker_rejects_crossing_segments():
     )
     with pytest.raises(UnsupportedPair):
         check_network_invariants(bad)
-    with pytest.raises(UnsupportedPair):
-        intersection_graph(bad)
 
 
 def test_valid_b_segment():

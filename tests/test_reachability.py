@@ -1,11 +1,13 @@
-"""Every top-level function and class of the package is reached from a root.
+"""Every function, class and method of the package is reached from a root.
 
 The roots are the ``vcycles`` entry point, the verdict
 ``check_networkgenset``, the package's module-level code, and every name
 that the demos, the scripts and the benchmark mention; the benchmark binds
 functions by string, so identifier strings count as names.  A definition
 that is reached makes every name its body mentions reached, whatever the
-module: matching by name alone errs toward keeping code.
+module: matching by name alone errs toward keeping code.  A method is a
+definition of its own, reached by its name like any other; a dunder method
+is part of its class's body, since Python calls it without naming it.
 """
 
 import ast
@@ -18,7 +20,8 @@ USERS = ("demos", "scripts", "bench")
 # the ``vcycles`` console script and the verdict
 ROOTS = {"main", "check_networkgenset"}
 
-# kept without a caller among the roots, each for its reason
+# kept without a caller among the roots, each for its reason; what they
+# use is reached through them
 ALLOWED = {
     "network_from_json": "reads back what the `network` subcommand writes "
                          "with network_to_json",
@@ -43,15 +46,31 @@ def _names(node) -> set:
     return out
 
 
+def _is_method(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
 def _package():
-    """The top-level definitions by name, as (module, node) pairs, and the
-    names mentioned by the module-level code that runs on import."""
+    """The definitions by name, as (qualified name, names its body mentions)
+    pairs, and the names mentioned by the module-level code that runs on
+    import.  A class's names leave out those of its methods."""
     defs, module_level = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defs.setdefault(node.name, []).append((path.stem, node))
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if _is_method(m)]
+                for m in methods:
+                    defs.setdefault(m.name, []).append(
+                        (f"{path.stem}.{node.name}.{m.name}", _names(m)))
+                body = [n for n in node.body if n not in methods]
+                names = set().union(*map(_names, node.bases + node.keywords
+                                         + node.decorator_list + body))
+                defs.setdefault(node.name, []).append(
+                    (f"{path.stem}.{node.name}", names))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append(
+                    (f"{path.stem}.{node.name}", _names(node)))
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue    # a binding, not a use
             elif not (isinstance(node, ast.Assign) and any(
@@ -64,8 +83,8 @@ def _package():
 def _reached(defs, roots) -> set:
     reached, frontier = set(roots), list(roots)
     while frontier:
-        for _, node in defs.get(frontier.pop(), ()):
-            fresh = _names(node) - reached
+        for _, names in defs.get(frontier.pop(), ()):
+            fresh = names - reached
             reached |= fresh
             frontier.extend(fresh)
     return reached
@@ -81,12 +100,14 @@ def _user_names() -> set:
 
 def test_every_definition_is_reached_from_a_root():
     defs, module_level = _package()
-    reached = _reached(defs, ROOTS | module_level | _user_names())
-    unreached = sorted(f"{module}.{name}" for name, where in defs.items()
-                       for module, _ in where
+    roots = ROOTS | module_level | _user_names()
+    reached = _reached(defs, roots | set(ALLOWED))
+    unreached = sorted(qualified for name, where in defs.items()
+                       for qualified, _ in where
                        if name not in reached and name not in ALLOWED)
     assert not unreached, ("no root reaches these definitions; delete them, "
                            f"or move a test oracle to tests/: {unreached}")
     # an entry that a root reaches, or that is gone, needs no reason
-    stale = [name for name in ALLOWED if name not in defs or name in reached]
+    by_roots = _reached(defs, roots)
+    stale = [name for name in ALLOWED if name not in defs or name in by_roots]
     assert not stale, f"stale allowlist entries: {stale}"

@@ -62,14 +62,6 @@ def test_values_are_reduced():
     assert s.values == (1, 3, 0, 2, 2, 2)
 
 
-def test_reverse_negates_both_fields():
-    c = mc((1, 2, 0, -1), 3, 5)
-    rc = c.reverse()
-    assert rc.h == (-1, -2, 0, 1)
-    assert rc.phi == (-3) % 5
-    assert rc.provenance[-1] == "reverse"
-
-
 # --- twist-linearity ------------------------------------------------------------
 
 def test_twist_about_zero_value_curve_preserves_value():
@@ -350,5 +342,5 @@ def test_marked_network_curve_requires_matching_surface():
 def test_provenance_traces_accumulate():
     a = mc((1, 0), 0, 5)
     b = mc((0, 1), 1, 5)
-    out = twist(twist(a, b), b).reverse()
-    assert out.provenance == ("twist<1>", "twist<1>", "reverse")
+    out = twist(twist(a, b), b)
+    assert out.provenance == ("twist<1>", "twist<1>")

@@ -178,9 +178,6 @@ def test_inverse_and_powers_are_exact():
         for _ in range(abs(k)):
             want = want @ (M if k > 0 else M.inverse())
         assert M ** k == want, k
-    assert M.mod(5) == tuple(tuple(x % 5 for x in row) for row in M.rows)
-    with pytest.raises(SympError):
-        M.mod(0)
     with pytest.raises(SympError):
         M @ SpMatrix.identity(6)
     with pytest.raises(SympError):
@@ -419,7 +416,8 @@ def word_pairs(draw):
         return mc(h, draw(value), r)
 
     first = sparse()
-    pool = [first, first.reverse(), mc(neg(first.h), draw(value), r),
+    pool = [first, mc(neg(first.h), -first.phi, r),
+            mc(neg(first.h), draw(value), r),
             mc((0,) * dim, draw(value), r), mc(first.h, first.phi + 1, r)]
     pool += [sparse() for _ in range(draw(st.integers(0, 4)))]
     letter = st.sampled_from(pool)
@@ -436,7 +434,7 @@ def word_pairs(draw):
         if edit == "zero":
             rhs.insert(at, mc((0,) * dim, draw(value), r))
         elif rhs and edit == "reverse":
-            rhs[at] = rhs[at].reverse()
+            rhs[at] = mc(neg(rhs[at].h), -rhs[at].phi, r)
         elif rhs and edit == "value":
             rhs[at] = mc(rhs[at].h, rhs[at].phi + 1, r)
         elif rhs:
@@ -505,7 +503,6 @@ def test_square_transvection_identity_holds():
     q = QuadraticFormZ2((1, 1, 1, 0, 0, 0))
     assert square_transvection_identity(w, v1, v2, v3)
     assert square_transvection_identity(w, v1, v2, v3, q=q)
-    assert square_transvection_identity(w, v1, v2, v3, modulus=7)
 
 
 def test_square_transvection_condition_checks():

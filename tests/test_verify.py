@@ -282,8 +282,7 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     smith = count_calls(monkeypatch, intlinalg.smith_normal_form)
     normalizations = count_calls(monkeypatch, lattice.canonical_form)
     inflations = count_calls(monkeypatch, surface.inflate)
-    segment_passes = count_calls(monkeypatch, network.check_network_invariants,
-                                 lambda net: not net._segments_checked)
+    segment_passes = count_calls(monkeypatch, network.check_network_invariants)
     segment_pairs = count_calls(monkeypatch, network._segment_intersection)
     scan = Polygon._scan
     interior_scans = Counter()
@@ -322,10 +321,11 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     assert len(smith) == 0
     assert len(normalizations) == 1
     assert len(inflations) == 2
-    # one full pass, in build_network; relative filling checks only the
-    # pairs with b: each pair of the 31 segment curves and b once
-    assert len(segment_passes) == 1
-    assert len(segment_pairs) == 32 * 31 // 2
+    # built networks are crossing-free, so no network-wide pass runs;
+    # relative filling checks b against each of the 31 segment curves of
+    # subnetwork_nprime once
+    assert len(segment_passes) == 0
+    assert len(segment_pairs) == 31
     assert scanned and max(interior_scans.values()) == 1
     assert hulled and inner_hulls and max(inner_hulls.values()) == 1
 
