@@ -11,11 +11,11 @@ from vanishingcycles.surface import (
 
 P = Polygon(((0, 0), (6, 0), (0, 6)))
 net = build_network(P)
-S = inflate(P, net)
+S = inflate(net)
 
 print(f"ribbon surface: Euler characteristic {S.euler()}, {len(S.faces)} faces, "
       f"genus {S.genus()} (lattice genus {genus(P)})")
-print(f"network fills the surface: {is_filling(P, net)}")
+print(f"network fills the surface: {is_filling(net)}")
 
 form = homology_basis(S)
 print(f"homology basis of rank {2 * form.genus} from {len(form.chords)} curves; "

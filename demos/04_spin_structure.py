@@ -15,8 +15,8 @@ from vanishingcycles.surface import inflate
 for verts in (((0, 0), (6, 0), (0, 6)), ((0, 0), (4, 0), (4, 4), (0, 4))):
     P = Polygon(verts)
     net = build_network(P)
-    S = inflate(P, net)
-    spin = canonical_spin(P, net, S)
+    S = inflate(net)
+    spin = canonical_spin(S)
     marked = [marked_network_curve(S, spin, c) for c in net.curve_list()]
 
     print(f"polygon {list(verts)}: modulus {spin.r}")

@@ -32,15 +32,15 @@ for name, verts in (("side-4 triangle (genus 3)", ((0, 0), (4, 0), (0, 4))),
         print(f"  {name}: refused — {exc}")
 
 net = build_network(T6)
-S = inflate(T6, net)
-spin = canonical_spin(T6, net, S)
+S = inflate(net)
+spin = canonical_spin(S)
 first = marked_network_curve(S, spin, net.curve_list()[0])
 print("\nvanishing-cycle decisions on the side-6 triangle:")
 print(f"  a network curve:            "
-      f"{is_vanishing_cycle(first, T6, report=report)}")
+      f"{is_vanishing_cycle(first, report)}")
 shifted = MarkedCurve(first.h, first.phi + 1, first.r)
 print(f"  same class, nonzero value:  "
-      f"{is_vanishing_cycle(shifted, T6, report=report)}")
+      f"{is_vanishing_cycle(shifted, report)}")
 doubled = MarkedCurve(tuple(2 * x for x in first.h), 0, first.r)
 print(f"  doubled (even) class:       "
-      f"{is_vanishing_cycle(doubled, T6, report=report)}")
+      f"{is_vanishing_cycle(doubled, report)}")

@@ -252,6 +252,10 @@ class UnimodularMap:
         return (a * p[0] + b * p[1] + self.shift[0], c * p[0] + d * p[1] + self.shift[1])
 
     def apply_polygon(self, P: Polygon) -> Polygon:
+        """The image of P; P itself under the identity, so that the facts
+        it has found (interior points, adjoint) are not found again."""
+        if self == IDENTITY_MAP:
+            return P
         return Polygon(tuple(self.apply(v) for v in P.vertices))
 
     def inverse(self) -> "UnimodularMap":

@@ -181,14 +181,6 @@ class DnConfiguration:
         return len(self.chain) + 2
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """The single meeting point of a circle and an incident segment curve."""
-
-    a: ACurve
-    b: BCurve
-
-
 @dataclass
 class IntersectionGraph:
     vertices: list
@@ -319,14 +311,16 @@ def build_network(P: Polygon, kappa: Optional[Point] = None) -> Network:
 
     1. Clause-4 segments join consecutive lattice points on lines through
        the origin, so two of them meet at most at a shared endpoint; their
-       lines avoid the open sigma, tau and b (``_line_blocked``), so none
-       of them crosses sigma, tau or b.
+       lines avoid the open sigma and tau (``_line_blocked``), so none of
+       them crosses sigma or tau.
     2. sigma runs from (0, k), k >= 1, along an adjoint edge, so it lies in
        x >= 0, y >= 0.
     3. tau = (0, -1)-(r, 0) lies in y <= 0 and reaches y = 0 only at its
        endpoint.
     4. b = (-1, 1)-(0, 1), the segment kept out of the network, lies on
-       y = 1 with x <= 0.
+       y = 1 with x <= 0.  A line through the origin that meets the open b
+       at (t, 1), -1 < t < 0, meets the open tau at u = -t/(r - t) along
+       it, so no clause-4 segment crosses b either.
 
     So sigma, tau and b meet pairwise at most at an endpoint, which
     ``_segment_intersection`` never counts as a crossing.
@@ -364,10 +358,8 @@ def build_network(P: Polygon, kappa: Optional[Point] = None) -> Network:
         raise NetworkError(f"clause-3 segment {tau} is not a valid segment")
     clauses.setdefault(BCurve(tau), 3)
 
-    # clause 4: lines through the anchor avoiding sigma, tau and the
-    # segment from (-1, 1) to (0, 1)
-    excluded = [sigma, tau, Segment((-1, 1), (0, 1))]
-    for seg in _clause4_segments(Q, excluded):
+    # clause 4: lines through the anchor avoiding sigma and tau
+    for seg in _clause4_segments(Q, [sigma, tau]):
         clauses.setdefault(BCurve(seg), 4)
 
     return Network(Q, (0, 0), clauses, emb, r, adjQ)
@@ -486,25 +478,6 @@ def dn_configuration(net: Network) -> DnConfiguration:
             raise ConfigurationUnavailable(f"missing curve {curve}")
     return DnConfiguration(a, a_prime, tuple(chain), delta1,
                            Segment((-1, 1), (0, 1)), d)
-
-
-def curve_crossings(net: Network, curve: CurveId) -> list:
-    """Crossings along ``curve`` in its cyclic order.
-
-    For a circle this is the counterclockwise angular order of the incident
-    segments; for a segment curve it is the (at most two) interior endpoints.
-    """
-    if isinstance(curve, ACurve):
-        v = curve.point
-        incident = []
-        for other in net.segments_at(v):
-            w = other.segment.other(v)
-            incident.append(((w[0] - v[0], w[1] - v[1]), other))
-        incident.sort(key=lambda t: (_angle_key(primitive(t[0])), curve_sort_key(t[1])))
-        return [Crossing(curve, b) for _, b in incident]
-    interior = [p for p in curve.segment.endpoints()
-                if ACurve(p) in net]
-    return [Crossing(ACurve(p), curve) for p in interior]
 
 
 def network_to_json(net: Network) -> dict:

@@ -21,8 +21,7 @@ from math import gcd
 from typing import Sequence, Tuple
 
 from .intlinalg import solve_mod2
-from .lattice import Polygon, genus
-from .network import ACurve, BCurve, CurveId, Network
+from .network import ACurve, BCurve, CurveId
 from .surface import (
     RibbonSurface,
     complement_regions,
@@ -143,9 +142,9 @@ def marked_network_curve(S: RibbonSurface, spin: SpinStructure,
     return MarkedCurve(h, 0, spin.r, (f"network:{c}",))
 
 
-def canonical_spin(P: Polygon, N: Network, S: RibbonSurface) -> SpinStructure:
-    """The unique structure of modulus r(N) that vanishes on every network
-    curve.
+def canonical_spin(S: RibbonSurface) -> SpinStructure:
+    """The unique structure of modulus r that vanishes on every curve of the
+    network ``S.network``, where r is the network's modulus ``S.network.r``.
 
     Consistency is checked two ways: the modulus must divide 2g-2, and every
     complement region cut out by the circles alone or by the segment curves
@@ -155,9 +154,7 @@ def canonical_spin(P: Polygon, N: Network, S: RibbonSurface) -> SpinStructure:
     shadow is solved from the requirement that the associated quadratic form
     take the value 1 on every network class.
     """
-    if genus(P) != genus(N.polygon):
-        raise InconsistentConstraints("network does not belong to the polygon")
-    r = N.r
+    r = S.network.r
     if not S.fills():
         raise InconsistentConstraints("network does not fill the surface")
     g = S.genus()
@@ -165,7 +162,7 @@ def canonical_spin(P: Polygon, N: Network, S: RibbonSurface) -> SpinStructure:
         raise InconsistentConstraints(
             f"modulus {r} does not divide 2g-2 = {2 * g - 2}")
 
-    curves = list(N.curve_list())
+    curves = S.curves
     form = homology_basis(S)  # raises unless the curve classes generate H_1
     n = 2 * g
 

@@ -44,16 +44,16 @@ from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .intlinalg import _pairing, symplectic_reduction
-from .lattice import Polygon, Segment, genus
+from .lattice import Segment, genus
 from .network import (
     ACurve,
     BCurve,
     CurveId,
     Network,
     UnsupportedPair,
+    _angle_key,
     _find,
     _union,
-    curve_crossings,
     geometric_intersection,
 )
 
@@ -177,34 +177,45 @@ class Region:
     internal_vertices: int
 
 
-def inflate(P: Polygon, net: Network) -> RibbonSurface:
-    """Build the rotation system of the doubled surface cut out by ``net``.
+def inflate(net: Network) -> RibbonSurface:
+    """Build the rotation system of the doubled surface cut out by ``net``,
+    on the surface of ``net.polygon``.
 
-    ``net`` carries its own normalized polygon; ``P`` is accepted in either
-    the original or the normalized coordinates and checked for consistency.
+    The crossings come from the network's incidence index: a circle at v
+    crosses the segment curves of ``net.segments_at(v)``, in counterclockwise
+    order of their directions away from v, and a segment curve crosses the
+    circles at its ends.
     """
-    if genus(P) != genus(net.polygon):
-        raise SurfaceError("network does not belong to this polygon")
-
     curves = tuple(net.curve_list())
     index = {c: i for i, c in enumerate(curves)}
-    crossings = [curve_crossings(net, c) for c in curves]
+    around = {}  # the segment curves crossing each circle, counterclockwise
+    degree = []  # the number of crossings along each curve
+    for i, c in enumerate(curves):
+        if isinstance(c, ACurve):
+            v = c.point
+
+            def away(b):  # the direction of b leaving v
+                w = b.segment.other(v)
+                return _angle_key((w[0] - v[0], w[1] - v[1]))
+
+            around[i] = sorted(net.segments_at(v), key=away)
+            degree.append(len(around[i]))
+        else:
+            degree.append(sum(ACurve(p) in net for p in c.segment.endpoints()))
     first = []  # the index of each curve's first arc
     arcs = []
-    for i, xs in enumerate(crossings):
+    for i, k in enumerate(degree):
         first.append(len(arcs))
-        arcs += [i] * max(len(xs), 1)
+        arcs += [i] * max(k, 1)
 
     vertices, rotation = [], []
-    for i, (c, xs) in enumerate(zip(curves, crossings)):
-        if not xs or isinstance(c, BCurve):
-            continue  # a segment curve's crossings are listed with circles
-        a0, k = first[i], len(xs)
-        js = [index[x.b] for x in xs]
+    for i, bs in around.items():
+        a0, k, v = first[i], len(bs), curves[i].point
+        js = [index[b] for b in bs]
         for t in sorted(range(k), key=js.__getitem__):
-            x, j = xs[t], js[t]
-            b0, b1 = first[j], first[j] + len(crossings[j]) - 1
-            if x.a.point == x.b.segment.a:
+            j = js[t]
+            b0, b1 = first[j], first[j] + degree[j] - 1
+            if v == bs[t].segment.a:
                 # the segment curve departs from its first crossing on the
                 # front sheet and returns to it on the back
                 b_front, b_back = 2 * b0, 2 * b1 + 1
@@ -216,8 +227,8 @@ def inflate(P: Polygon, net: Network) -> RibbonSurface:
             vertices.append((i, j))
             rotation.append((b_front, 2 * (a0 + t), b_back,
                              2 * (a0 + (t - 1) % k) + 1))
-    for i, xs in enumerate(crossings):
-        if not xs:  # the phantom vertex of a curve without crossings
+    for i, k in enumerate(degree):
+        if not k:  # the phantom vertex of a curve without crossings
             vertices.append((i,))
             rotation.append((2 * first[i], 2 * first[i] + 1))
 
@@ -252,9 +263,10 @@ def inflate(P: Polygon, net: Network) -> RibbonSurface:
     return surf
 
 
-def is_filling(P: Polygon, net: Network) -> bool:
-    """True iff every complementary piece of the network is a disk."""
-    return inflate(P, net).fills()
+def is_filling(net: Network) -> bool:
+    """True iff every complementary piece of ``net`` on the surface of
+    ``net.polygon`` is a disk."""
+    return inflate(net).fills()
 
 
 # --- homology ----------------------------------------------------------------
@@ -424,8 +436,9 @@ def complement_regions(S: RibbonSurface, cut) -> List[Region]:
     ) for r, fs in sorted(groups.items())]
 
 
-def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
-    """Decide whether ``nprime`` fills the complement of the extra curve b.
+def relative_filling(nprime: Network, b_segment: Segment) -> bool:
+    """Decide whether ``nprime`` fills the complement of the extra curve b
+    on the surface of ``nprime.polygon``.
 
     The check runs inside the closed surface of the completed network
     (``nprime`` plus b plus the circles at b's interior endpoints): cutting
@@ -437,7 +450,7 @@ def relative_filling(P: Polygon, nprime: Network, b_segment: Segment) -> bool:
     completed = _completed_network(nprime, b)
     if completed is None:
         return False
-    S = inflate(P, completed)
+    S = inflate(completed)
     if not S.fills():
         return False
     kept = set(nprime.clauses)

@@ -198,25 +198,26 @@ def _refusal(Q: Polygon, g: int, r, hyper, gates, warnings) -> VerificationRepor
     )
 
 
-def _normalized(P: Polygon) -> Polygon:
-    """The polygon in the coordinates of its report."""
-    try:
-        return canonical_form(P)[0]
-    except DegenerateDimension:
-        # Normalization anchors on the inner hull, so it is undefined for the
-        # refusal inputs; they are reported in the given coordinates.
-        return P
-
-
 def check_networkgenset(P: Polygon) -> VerificationReport:
     """Run the full pipeline on ``P`` and aggregate every check into a report.
 
-    The input is normalized first, so unimodularly equivalent polygons yield
-    identical reports.  Failures of individual hypotheses are recorded, not
-    raised; refusals (hyperelliptic, low genus, degenerate adjoint) come back
-    as warnings with no classification.
+    The input is put in canonical form first (``canonical_form``, which
+    raises ``NoUnimodularNormalization`` when a corner of a two-dimensional
+    adjoint is not unimodular), so images of determinant +1 of one polygon
+    yield identical reports.  Nothing more is identified: a mirror image may
+    be reported at another corner, and a polygon with a degenerate adjoint
+    is reported in its given coordinates.
+
+    Failures of individual hypotheses are recorded, not raised; refusals
+    (hyperelliptic, low genus, degenerate adjoint) come back as warnings
+    with no classification.
     """
-    Q = _normalized(P)
+    try:
+        Q = canonical_form(P)[0]
+    except DegenerateDimension:
+        # the canonical form anchors on the inner hull, so it is undefined
+        # for the refusal inputs
+        Q = P
     g = genus(Q)
     adj = adjoint(Q)
 
@@ -246,8 +247,8 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         # Q is normalized, so its adjoint corner sits at the origin along
         # the axes
         net = build_network(Q, (0, 0))
-        S = inflate(Q, net)
-        canonical_spin(Q, net, S)  # raises unless the structure exists
+        S = inflate(net)
+        canonical_spin(S)  # raises unless the structure exists
     except (NetworkError, SurfaceError, SpinError) as exc:
         warnings.append(f"pipeline construction failed: {exc}")
         return _refusal(Q, g, r, False, gates, warnings)
@@ -282,7 +283,7 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
                             and geometric_intersection(dn.d, omitted) == 1)
         nprime = subnetwork_nprime(net)
         np_connected, np_betti, np_tree = graph_stats(intersection_graph(nprime))
-        rel = relative_filling(Q, nprime, dn.b_segment)
+        rel = relative_filling(nprime, dn.b_segment)
         hypotheses["H4"] = np_tree and rel
         evidence.update({
             "reduced_connected": np_connected,
@@ -330,22 +331,14 @@ def classify(P: Polygon) -> str:
     return report.classification
 
 
-def is_vanishing_cycle(c: MarkedCurve, P: Polygon,
-                       report: Optional[VerificationReport] = None) -> bool:
-    """Decide whether the marked curve class is realized by a vanishing cycle.
+def is_vanishing_cycle(c: MarkedCurve, report: VerificationReport) -> bool:
+    """Decide whether the marked curve class is realized by a vanishing cycle
+    on the curve of ``report.polygon``.
 
-    Requires the polygon to pass the full verification (pass a precomputed
-    ``report`` to skip recomputation).  The answer is the admissibility of
-    the class: value zero and primitive.  A report of another polygon raises
-    ``VerifyError``; a curve under another modulus, or of another genus,
-    raises ``ModulusMismatch``.
+    The report must classify (``GatesNotPassed`` otherwise).  The answer is
+    the admissibility of the class: value zero and primitive.  A curve under
+    another modulus, or of another genus, raises ``ModulusMismatch``.
     """
-    if report is None:
-        report = check_networkgenset(P)
-    elif report.polygon != _normalized(P).vertices:
-        raise VerifyError(
-            f"the report is for the polygon {list(report.polygon)}, "
-            f"not for {list(P.vertices)}")
     if report.classification is None:
         raise GatesNotPassed("; ".join(report.warnings) or "verification failed")
     if c.r != report.r or len(c.h) != 2 * report.g:
@@ -356,5 +349,7 @@ def is_vanishing_cycle(c: MarkedCurve, P: Polygon,
 
 
 def report_json(P: Polygon) -> str:
-    """Serialized report; identical bytes for unimodularly equivalent input."""
+    """Serialized report of ``check_networkgenset``: identical bytes for the
+    images of determinant +1 that it identifies, not for every unimodularly
+    equivalent input."""
     return json.dumps(check_networkgenset(P).to_json(), indent=2, sort_keys=False)

@@ -23,18 +23,16 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from ribbon_oracle import crossing_sort_key, curve_arcs
+from ribbon_oracle import Crossing, crossing_sort_key, curve_arcs, curve_crossings
 
 from vanishingcycles.intlinalg import _add_multiple, ext_gcd, smith_normal_form
 from vanishingcycles.intlinalg import _pairing as _sparse_pairing
 from vanishingcycles.lattice import genus
 from vanishingcycles.network import (
     ACurve,
-    Crossing,
     NetworkError,
     _find,
     _union,
-    curve_crossings,
     curve_sort_key,
     graph_stats,
     intersection_graph,

@@ -1,10 +1,12 @@
 """Oracles for the ribbon surface, on an object-valued view of it.
 
-``object_view`` rebuilds the ribbon graph from a network with objects: arcs
-are ``Arc`` values, a dart is ``(arc, end)``, a vertex is a crossing or the
-phantom vertex of a curve without crossings, and the rotation system, faces
-and complementary regions are built over dicts and sets keyed by them,
-independently of the integer layout that ``surface.inflate`` computes.
+``object_view`` rebuilds the ribbon graph from a network with objects: the
+crossings along each curve are ``Crossing`` values in the cyclic order of
+``curve_crossings``, arcs are ``Arc`` values, a dart is ``(arc, end)``, a
+vertex is a crossing or the phantom vertex of a curve without crossings, and
+the rotation system, faces and complementary regions are built over dicts
+and sets keyed by them, independently of the integer layout that
+``surface.inflate`` computes.
 ``layout_view`` reads that layout in the same objects (dart ``d`` is
 ``(arcs[d >> 1], d & 1)``), so that the two can be compared.
 
@@ -20,15 +22,45 @@ its signed count of chord traversals.
 from dataclasses import dataclass
 from typing import Optional
 
+from vanishingcycles.lattice import primitive
 from vanishingcycles.network import (
-    Crossing,
+    ACurve,
+    BCurve,
     CurveId,
+    _angle_key,
     _find,
     _union,
-    curve_crossings,
     curve_sort_key,
 )
 from vanishingcycles.surface import Region
+
+
+@dataclass(frozen=True)
+class Crossing:
+    """The single meeting point of a circle and an incident segment curve."""
+
+    a: ACurve
+    b: BCurve
+
+
+def curve_crossings(net, curve: CurveId) -> list:
+    """Crossings along ``curve`` in its cyclic order.
+
+    For a circle this is the counterclockwise angular order of the incident
+    segments; for a segment curve it is the (at most two) interior endpoints.
+    """
+    if isinstance(curve, ACurve):
+        v = curve.point
+        incident = []
+        for other in net.segments_at(v):
+            w = other.segment.other(v)
+            incident.append(((w[0] - v[0], w[1] - v[1]), other))
+        incident.sort(key=lambda t: (_angle_key(primitive(t[0])),
+                                     curve_sort_key(t[1])))
+        return [Crossing(curve, b) for _, b in incident]
+    interior = [p for p in curve.segment.endpoints()
+                if ACurve(p) in net]
+    return [Crossing(ACurve(p), curve) for p in interior]
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,7 @@ def test_criterion_4_intersection_form():
     assert len(corpus) >= 25
     for P in corpus:
         net = build_network(P)
-        S = inflate(P, net)
+        S = inflate(net)
         form = homology_basis(S)
         gram = dense_form(S).gram
         n = len(gram)
@@ -274,8 +274,8 @@ def test_criterion_7_wedge_calculus():
 
 def _pipeline(P):
     net = build_network(P)
-    S = inflate(P, net)
-    spin = canonical_spin(P, net, S)
+    S = inflate(net)
+    spin = canonical_spin(S)
     marked = [marked_network_curve(S, spin, c) for c in net.curve_list()]
     return net, S, spin, marked
 
@@ -331,18 +331,18 @@ def test_criterion_9_vanishing_cycle_answers():
     rng = random.Random(271828)
 
     for mc in marked:
-        assert is_vanishing_cycle(mc, TRIANGLE6, report=report)
+        assert is_vanishing_cycle(mc, report)
 
     for _ in range(300):
         image = marked[rng.randrange(len(marked))]
         for _ in range(rng.randint(1, 5)):
             image = twist(image, marked[rng.randrange(len(marked))])
-        assert is_vanishing_cycle(image, TRIANGLE6, report=report)
+        assert is_vanishing_cycle(image, report)
 
     for _ in range(300):
         base = marked[rng.randrange(len(marked))]
         bad_value = MarkedCurve(base.h, rng.randrange(1, spin.r), spin.r)
-        assert not is_vanishing_cycle(bad_value, TRIANGLE6, report=report)
+        assert not is_vanishing_cycle(bad_value, report)
         even_class = MarkedCurve(tuple(2 * x for x in base.h), 0, spin.r)
-        assert not is_vanishing_cycle(even_class, TRIANGLE6, report=report)
+        assert not is_vanishing_cycle(even_class, report)
     _verdict(9, "admissibility decides the sampled vanishing-cycle queries")

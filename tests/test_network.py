@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import NotArboreal, spanning_tree_correspondence
-from ribbon_oracle import Arc, curve_arcs
+from ribbon_oracle import Arc, curve_arcs, curve_crossings
 
 from vanishingcycles.lattice import (
     IDENTITY_MAP,
@@ -28,7 +28,6 @@ from vanishingcycles.network import (
     UnsupportedPair,
     build_network,
     check_network_invariants,
-    curve_crossings,
     curve_sort_key,
     dn_configuration,
     geometric_intersection,

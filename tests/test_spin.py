@@ -32,8 +32,8 @@ SQUARE4 = Polygon(((0, 0), (4, 0), (4, 4), (0, 4)))
 
 def canonical(P):
     net = build_network(P)
-    S = inflate(P, net)
-    return net, S, canonical_spin(P, net, S)
+    S = inflate(net)
+    return net, S, canonical_spin(S)
 
 
 def mc(h, phi, r):
@@ -202,29 +202,25 @@ def test_canonical_form_is_one_on_all_network_classes():
 
 
 def test_canonical_rejects_bad_modulus():
-    P = TRIANGLE6
-    net = build_network(P)
-    S = inflate(P, net)
-    with pytest.raises(InconsistentConstraints):
-        canonical_spin(P, dataclasses.replace(net, r=4), S)  # 4 does not divide 18
+    net = build_network(TRIANGLE6)
+    with pytest.raises(InconsistentConstraints):  # 4 does not divide 18
+        canonical_spin(inflate(dataclasses.replace(net, r=4)))
 
 
 def test_canonical_rejects_incoherent_modulus():
     # 9 divides 18 but the wedge regions have Euler number -3
-    P = TRIANGLE6
-    net = build_network(P)
-    S = inflate(P, net)
+    net = build_network(TRIANGLE6)
     with pytest.raises(InconsistentConstraints):
-        canonical_spin(P, dataclasses.replace(net, r=9), S)
+        canonical_spin(inflate(dataclasses.replace(net, r=9)))
 
 
 def test_canonical_rejects_non_filling_network():
     net = Network(polygon=TRIANGLE6, kappa=(1, 1),
                   clauses={ACurve((1, 1)): 0, ACurve((2, 2)): 0},
                   embedding=IDENTITY_MAP, r=1, adjoint_polygon=None)
-    S = inflate(TRIANGLE6, net)
+    S = inflate(net)
     with pytest.raises(InconsistentConstraints):
-        canonical_spin(TRIANGLE6, net, S)
+        canonical_spin(S)
 
 
 # --- mod-2 shadow ---------------------------------------------------------------------

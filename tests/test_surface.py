@@ -69,7 +69,7 @@ def torus_network(seg):
 
 def built(P):
     net = build_network(P)
-    return net, inflate(P, net)
+    return net, inflate(net)
 
 
 def circles_alone():
@@ -100,19 +100,19 @@ def expected_sign(c1, c2):
 
 def test_torus_counts():
     net = torus_network(Segment((1, 1), (1, 0)))
-    S = inflate(TRIANGLE3, net)
+    S = inflate(net)
     assert (len(S.vertices), len(S.arcs)) == (1, 2)
     assert S.euler() == 0 and len(S.faces) == 1
     assert S.genus() == 1
-    assert is_filling(TRIANGLE3, net)
+    assert is_filling(net)
 
 
 def test_torus_other_anchor_end():
     # same shape with the segment leaving the interior point instead
     net = torus_network(Segment((1, 1), (1, 2)))
-    S = inflate(TRIANGLE3, net)
+    S = inflate(net)
     assert S.euler() == 0
-    assert is_filling(TRIANGLE3, net)
+    assert is_filling(net)
 
 
 def test_triangle6_counts():
@@ -120,7 +120,7 @@ def test_triangle6_counts():
     assert (len(S.vertices), len(S.arcs)) == (28, 56)
     assert S.euler() == -18 and len(S.faces) == 10
     assert S.genus() == 10
-    assert is_filling(TRIANGLE6, net)
+    assert is_filling(net)
 
 
 def test_triangle4_counts():
@@ -149,11 +149,11 @@ def test_rotation_is_a_dart_partition():
 
 def test_circles_alone_are_genus_zero_shells():
     net = circles_alone()
-    S = inflate(TRIANGLE6, net)
+    S = inflate(net)
     comps = S.components()
     assert len(comps) == 2
     assert S.euler() == 4 and len(S.faces) == 4  # two capped spheres
-    assert not is_filling(TRIANGLE6, net)
+    assert not is_filling(net)
 
 
 @pytest.mark.parametrize("make", [lambda: build_network(TRIANGLE6),
@@ -164,22 +164,16 @@ def test_components_match_the_intersection_graph(make):
     net = make()
     G = intersection_graph(net)
     connected, betti, _ = graph_stats(G)
-    comps = inflate(net.polygon, net).components()
+    comps = inflate(net).components()
     assert len(comps) == betti - len(G.edges) + len(G.vertices)
     assert connected == (len(comps) == 1)
     assert set().union(*comps) == set(net.curve_list())
 
 
-def test_inflate_rejects_wrong_polygon():
-    net, _ = built(TRIANGLE6)
-    with pytest.raises(SurfaceError):
-        inflate(TRIANGLE4, net)
-
-
 def test_empty_network_has_no_euler_number():
     net = Network(polygon=TRIANGLE3, kappa=(1, 1), clauses={},
                   embedding=IDENTITY_MAP, r=1, adjoint_polygon=None)
-    S = inflate(TRIANGLE3, net)
+    S = inflate(net)
     with pytest.raises(EmptySurface):
         S.euler()
 
@@ -196,7 +190,7 @@ def test_inflate_is_deterministic():
 def test_surfaces_compare_equal_after_homology():
     # the cached facts are not part of a surface's value
     net = build_network(TRIANGLE6)
-    S1, S2 = inflate(TRIANGLE6, net), inflate(TRIANGLE6, net)
+    S1, S2 = inflate(net), inflate(net)
     assert S1 == S2
     homology_basis(S1)
     S1.components()
@@ -207,7 +201,7 @@ def test_surfaces_compare_equal_after_homology():
 
 def test_torus_form():
     net = torus_network(Segment((1, 1), (1, 0)))
-    S = inflate(TRIANGLE3, net)
+    S = inflate(net)
     form = homology_basis(S)
     assert form.genus == 1
     assert dense_form(S).matrix == [[0, 1], [-1, 0]]
@@ -219,7 +213,7 @@ def test_torus_form():
 
 def test_torus_form_exit_orientation():
     net = torus_network(Segment((1, 1), (1, 2)))
-    S = inflate(TRIANGLE3, net)
+    S = inflate(net)
     a = curve_class(S, ACurve((1, 1)))
     b = curve_class(S, BCurve(Segment((1, 1), (1, 2))))
     assert (a, b) == ((1, 0), (0, 1))
@@ -287,7 +281,7 @@ def test_cycle_pairing_on_curve_cycles():
 def test_ribbon_oracle_matches_sign_matrix(name):
     if name.startswith("torus"):
         seg = Segment((1, 1), (1, 0) if name == "torus-in" else (1, 2))
-        S = inflate(TRIANGLE3, torus_network(seg))
+        S = inflate(torus_network(seg))
     else:
         _, S = built(TRIANGLE6 if name == "triangle6" else SQUARE4)
     assert_oracle_matches_sign_matrix(S)
@@ -309,7 +303,7 @@ def test_concatenable_halves_drop_the_shared_circle():
 
 
 def test_homology_requires_connected_surface():
-    S = inflate(TRIANGLE6, circles_alone())
+    S = inflate(circles_alone())
     with pytest.raises(NotClosedSurface):
         homology_basis(S)
 
@@ -340,7 +334,7 @@ def test_correspondence_tree_turns_chords_into_curves():
     # with the surrendered arcs as chords, the fundamental loops are the
     # network curves themselves, so the chord pairing is the sign matrix
     net = subnetwork_nprime(build_network(TRIANGLE6))
-    S = inflate(TRIANGLE6, net)
+    S = inflate(net)
     V = object_view(net)
     corr = spanning_tree_correspondence(net)
     surrendered = set(corr.values())
@@ -358,7 +352,7 @@ def test_correspondence_tree_turns_chords_into_curves():
 
 def test_every_curve_keeps_all_but_one_arc():
     net = subnetwork_nprime(build_network(TRIANGLE6))
-    S = inflate(TRIANGLE6, net)
+    S = inflate(net)
     V = object_view(net)
     corr = spanning_tree_correspondence(net)
     for c, arc in corr.items():
@@ -373,7 +367,7 @@ def test_every_curve_keeps_all_but_one_arc():
 def test_standard_networks_fill():
     for P in (TRIANGLE6, TRIANGLE4, SQUARE4):
         net = build_network(P)
-        assert is_filling(P, net)
+        assert is_filling(net)
         assert planar_filling_oracle(P, net)
 
 
@@ -381,13 +375,13 @@ def test_circles_alone_do_not_fill():
     net = Network(polygon=TRIANGLE3, kappa=(1, 1),
                   clauses={ACurve((1, 1)): 0},
                   embedding=IDENTITY_MAP, r=1, adjoint_polygon=None)
-    assert not is_filling(TRIANGLE3, net)
+    assert not is_filling(net)
     assert not planar_filling_oracle(TRIANGLE3, net)
 
 
 def test_one_line_of_segments_does_not_fill():
     net = one_line_of_segments()
-    assert not is_filling(net.polygon, net)
+    assert not is_filling(net)
     assert not planar_filling_oracle(net.polygon, net)
 
 
@@ -420,7 +414,7 @@ def test_oracle_agrees_on_random_admissible_polygons():
         P = sheared(base, rng.randint(-2, 2), rng.randint(-2, 2),
                     rng.randint(-4, 4), rng.randint(-4, 4))
         net = build_network(P)
-        assert is_filling(P, net) == planar_filling_oracle(P, net) is True
+        assert is_filling(net) == planar_filling_oracle(P, net) is True
 
 
 # --- the integer layout against the object-keyed oracle -----------------------
@@ -450,7 +444,7 @@ def surfaces_of(P, rng):
         if rng.random() < 0.3:
             net = net.without(c)
     nets.append(net)
-    return [inflate(P, n) for n in nets]
+    return [inflate(n) for n in nets]
 
 
 def assert_layout_matches_oracle(S, rng):
@@ -560,7 +554,7 @@ def test_regions_reject_unknown_curves_and_open_surfaces():
     with pytest.raises(UnknownCurve):
         complement_regions(S, [ACurve((9, 9))])
     with pytest.raises(NotClosedSurface):
-        complement_regions(inflate(TRIANGLE6, circles_alone()), [ACurve((1, 1))])
+        complement_regions(inflate(circles_alone()), [ACurve((1, 1))])
 
 
 def test_duplicate_pairs_triangle6():
@@ -587,7 +581,7 @@ def test_duplicate_pairs_triangle4():
 def test_relative_filling_of_reduced_network():
     net = build_network(TRIANGLE6)
     nprime = subnetwork_nprime(net)
-    assert relative_filling(TRIANGLE6, nprime, Segment((-1, 1), (0, 1)))
+    assert relative_filling(nprime, Segment((-1, 1), (0, 1)))
 
 
 def test_relative_filling_fails_without_enough_circles():
@@ -597,12 +591,12 @@ def test_relative_filling_fails_without_enough_circles():
     smaller = Network(polygon=nprime.polygon, kappa=nprime.kappa, clauses=clauses,
                       embedding=nprime.embedding, r=nprime.r,
                       adjoint_polygon=nprime.adjoint_polygon)
-    assert not relative_filling(TRIANGLE6, smaller, Segment((-1, 1), (0, 1)))
+    assert not relative_filling(smaller, Segment((-1, 1), (0, 1)))
 
 
 def test_relative_filling_fails_for_distant_segment():
     nprime = subnetwork_nprime(build_network(TRIANGLE6))
-    assert not relative_filling(TRIANGLE6, nprime, Segment((-1, 4), (0, 4)))
+    assert not relative_filling(nprime, Segment((-1, 4), (0, 4)))
 
 
 def test_relative_filling_fails_for_segment_crossing_nprime_badly():
@@ -610,12 +604,12 @@ def test_relative_filling_fails_for_segment_crossing_nprime_badly():
     # left unchecked, that pair would give a completed network that passes
     nprime = subnetwork_nprime(build_network(TRIANGLE6))
     b_segment = Segment((-1, -1), (0, 1))
-    assert not relative_filling(nprime.polygon, nprime, b_segment)
+    assert not relative_filling(nprime, b_segment)
 
 
 def test_relative_filling_fails_for_present_segment():
     net = build_network(TRIANGLE6)
-    assert not relative_filling(TRIANGLE6, net, Segment((0, 0), (1, 0)))
+    assert not relative_filling(net, Segment((0, 0), (1, 0)))
 
 
 # --- the indexed homology against the dense views -------------------------------

@@ -218,8 +218,8 @@ def test_braid_needs_pairing_one():
 
 def test_braid_on_network_pair():
     net = build_network(TRIANGLE6)
-    S = inflate(TRIANGLE6, net)
-    spin = canonical_spin(TRIANGLE6, net, S)
+    S = inflate(net)
+    spin = canonical_spin(S)
     dn = dn_configuration(net)
     u = marked_network_curve(S, spin, dn.chain[0])
     v = marked_network_curve(S, spin, dn.chain[1])
@@ -649,8 +649,8 @@ def test_bruteforce_input_validation():
 @pytest.fixture(scope="module")
 def side6():
     net = build_network(TRIANGLE6)
-    S = inflate(TRIANGLE6, net)
-    spin = canonical_spin(TRIANGLE6, net, S)
+    S = inflate(net)
+    spin = canonical_spin(S)
     return net, S, spin
 
 

@@ -23,11 +23,11 @@ TRIANGLE6 = Polygon(((0, 0), (6, 0), (0, 6)))
 
 def test_every_size_reader_reads_a_real_result():
     net = build_network(TRIANGLE6)
-    S = inflate(TRIANGLE6, net)
+    S = inflate(net)
     matrix = [[2, 4, 4], [-6, 6, 12]]
     calls = {
         "network.build_network": ((TRIANGLE6,), 28),  # 10 circles, 18 segments
-        "surface.inflate": ((TRIANGLE6, net), 56),  # two arcs per crossing
+        "surface.inflate": ((net,), 56),  # two arcs per crossing
         "surface.homology_basis": ((S,), 28),  # one chord per curve
         "intlinalg.smith_normal_form": ((matrix,), 3),
     }
