@@ -36,7 +36,6 @@ from .lattice import (
 )
 from .network import (
     ACurve,
-    ConfigurationUnavailable,
     NetworkError,
     build_network,
     dn_configuration,
@@ -270,19 +269,14 @@ def render_svg(P: Polygon) -> str:
     net = _build(P)
     Q = net.polygon
     hull = net.adjoint_polygon
-    try:
-        dn = dn_configuration(net)
-        highlighted = set(dn.curves())
-        omitted = dn.b_segment
-    except ConfigurationUnavailable:
-        highlighted = set()
-        omitted = None
+    dn = dn_configuration(net)
+    highlighted = set(dn.curves())
 
     left = _Panel(Q, 0.0)
     right = _Panel(Q, left.width + MARGIN)
     width = int(left.width + MARGIN + right.width)
     height = int(max(left.height, right.height))
-    interior = set(hull.lattice_points()) if hull is not None else set()
+    interior = set(hull.lattice_points())
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -297,10 +291,9 @@ def render_svg(P: Polygon) -> str:
     # Left panel: polygon, lattice points, shaded inner hull.
     parts.append(f'<path class="outline" d="{left.path(Q.vertices)}" '
                  f'fill="none" stroke="#333333" stroke-width="2" />')
-    if hull is not None:
-        parts.append(f'<path class="inner-hull" d="{left.path(hull.vertices)}" '
-                     f'fill="{HULL_FILL}" fill-opacity="0.75" '
-                     f'stroke="#6699bb" stroke-width="1.5" />')
+    parts.append(f'<path class="inner-hull" d="{left.path(hull.vertices)}" '
+                 f'fill="{HULL_FILL}" fill-opacity="0.75" '
+                 f'stroke="#6699bb" stroke-width="1.5" />')
     for p in Q.lattice_points():
         x, y = left.to_page(p)
         parts.append(f'<circle class="lattice-dot" cx="{_fmt(x)}" '
@@ -326,9 +319,8 @@ def render_svg(P: Polygon) -> str:
             stroke_width = 3.0 if curve in highlighted else 2.0
             parts.extend(_segment_strokes(right, curve.segment, interior,
                                           color, css, stroke_width))
-    if omitted is not None:
-        parts.extend(_segment_strokes(right, omitted, interior,
-                                      OMITTED_COLOR, "b-omitted", 2.0))
+    parts.extend(_segment_strokes(right, dn.b_segment, interior,
+                                  OMITTED_COLOR, "b-omitted", 2.0))
     parts.append("</svg>")
     return "\n".join(parts)
 

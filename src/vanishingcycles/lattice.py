@@ -1,10 +1,10 @@
 """Convex lattice polygons and the polygon-side dictionary.
 
-A polygon here encodes a projective embedding of a smooth toric surface; its
-interior lattice points count the genus of a smooth curve in the linear
-system, the convex hull of those interior points ("the adjoint") governs
-hyperellipticity, and the lattice divisibility of the adjoint is the modulus
-r of the invariant spin structure.
+A polygon here encodes a projective embedding of a toric surface, smooth or
+not; its interior lattice points count the genus of a smooth curve in the
+linear system, the convex hull of those interior points ("the adjoint")
+governs hyperellipticity, and the lattice divisibility of the adjoint is the
+modulus r of the invariant spin structure.
 
 All arithmetic is exact; no floating point is used in this module.
 """
@@ -258,14 +258,6 @@ class UnimodularMap:
             return P
         return Polygon(tuple(self.apply(v) for v in P.vertices))
 
-    def inverse(self) -> "UnimodularMap":
-        (a, b), (c, d) = self.lin
-        det = a * d - b * c
-        inv = ((d * det, -b * det), (-c * det, a * det))
-        it = (-(inv[0][0] * self.shift[0] + inv[0][1] * self.shift[1]),
-              -(inv[1][0] * self.shift[0] + inv[1][1] * self.shift[1]))
-        return UnimodularMap(inv, it)
-
 
 IDENTITY_MAP = UnimodularMap(((1, 0), (0, 1)))
 
@@ -298,10 +290,11 @@ def kappa_standard_embedding(P: Polygon, kappa: Point) -> UnimodularMap:
 
 
 def canonical_form(P: Polygon):
-    """Canonical representative of the unimodular-equivalence class of P:
-    the kappa-standardization, over all adjoint corners, with the least
-    vertex tuple.  Reports built from the canonical form are byte-identical
-    across unimodular images of the same polygon."""
+    """Canonical representative of P under the unimodular maps of
+    determinant +1: the kappa-standardization, over all adjoint corners,
+    with the least vertex tuple.  Reports built from it are byte-identical
+    across the images of determinant +1 of one polygon; a mirror image may
+    get another form."""
     adj = adjoint(P)
     if adj.kind != "polygon":
         raise DegenerateDimension("canonical form needs a 2-dimensional adjoint")
@@ -319,10 +312,20 @@ def polygon_to_json(P: Polygon) -> dict:
     return {"vertices": [[x, y] for x, y in P.vertices]}
 
 
+def _json_point(v) -> Point:
+    """A lattice point (or a matrix row) read from JSON: a pair of
+    integers.  A float, a string or a boolean is refused, not rounded or
+    converted."""
+    if (not isinstance(v, (list, tuple)) or len(v) != 2
+            or any(type(x) is not int for x in v)):
+        raise LatticeError(f"expected a pair of integers, got {v!r}")
+    return (v[0], v[1])
+
+
 def polygon_from_json(data) -> Polygon:
     if not isinstance(data, dict) or "vertices" not in data:
         raise LatticeError("polygon JSON needs a 'vertices' key")
-    return Polygon(tuple((int(x), int(y)) for x, y in data["vertices"]))
+    return Polygon(tuple(map(_json_point, data["vertices"])))
 
 
 def is_smooth(P: Polygon) -> bool:

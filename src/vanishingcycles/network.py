@@ -9,10 +9,10 @@ graph, the distinguished subnetwork obtained by deleting the circle at (0,1),
 and the chain configuration used by the disk-bundle relation checks.
 
 All coordinates are normalized so that the anchor corner sits at the origin
-with its two inner-hull edges along the positive axes.  No two segment
-curves of a built network cross (see ``build_network``), so only a network
-read from outside, by ``network_from_json``, has all its segment pairs
-checked.
+with its two inner-hull edges along the positive axes.  That frame makes
+every built network valid and crossing-free (see ``build_network``), so
+only a network read from outside, by ``network_from_json``, has all its
+segment pairs checked.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .lattice import (
     Polygon,
     Segment,
     UnimodularMap,
+    _json_point,
     adjoint,
     canonical_form,
     divisibility,
@@ -138,11 +139,6 @@ class Network:
             self._incident = {q: tuple(bs) for q, bs in incident.items()}
         return self._incident.get(p, ())
 
-    def clause(self, curve: CurveId) -> int:
-        if curve not in self.clauses:
-            raise MissingCurve(f"curve {curve} not in network")
-        return self.clauses[curve]
-
     def a_curves(self) -> list:
         return [c for c in self.curve_list() if isinstance(c, ACurve)]
 
@@ -187,33 +183,6 @@ class IntersectionGraph:
     edges: list
 
 
-def _same_edge(P: Polygon, p: Point, q: Point) -> bool:
-    """True if p and q lie on a common edge of P."""
-    for a, b in P.edges():
-        ab = (b[0] - a[0], b[1] - a[1])
-        ap = (p[0] - a[0], p[1] - a[1])
-        aq = (q[0] - a[0], q[1] - a[1])
-        if ab[0] * ap[1] - ab[1] * ap[0] != 0:
-            continue
-        if ab[0] * aq[1] - ab[1] * aq[0] != 0:
-            continue
-        # both on the edge line; confirm within the edge's span
-        def within(v):
-            t = v[0] * ab[0] + v[1] * ab[1]
-            return 0 <= t <= ab[0] * ab[0] + ab[1] * ab[1]
-        if within(ap) and within(aq):
-            return True
-    return False
-
-
-def valid_b_segment(P: Polygon, seg: Segment) -> bool:
-    """Endpoints are lattice points of P not lying on one edge of P."""
-    p, q = seg.endpoints()
-    if not (P.contains(p) and P.contains(q)):
-        return False
-    return not _same_edge(P, p, q)
-
-
 def _direction_angle_cmp(d1: Point, d2: Point) -> int:
     """Compare primitive directions by counterclockwise angle from +x."""
     def half(d):
@@ -240,43 +209,19 @@ def _canonical_line_direction(d: Point) -> Point:
 
 
 def _sigma_segment(adj: Polygon) -> Segment:
-    """Clause-2 segment: from the +y-adjacent hull vertex one primitive
-    step along its far edge."""
-    verts = adj.vertices
-    n = len(verts)
-    k = verts.index((0, 0))
-    neighbours = [verts[(k + 1) % n], verts[(k - 1) % n]]
-    kappa_prime = None
-    other = None
-    for i, v in enumerate(neighbours):
-        if v[0] == 0 and v[1] > 0:
-            kappa_prime = v
-            other = neighbours[1 - i]
-    if kappa_prime is None:
-        raise NonSmoothCorner("no hull vertex adjacent along the +y axis")
-    # edge at kappa_prime not containing the origin corner
-    idx = verts.index(kappa_prime)
-    cand = [verts[(idx + 1) % n], verts[(idx - 1) % n]]
-    far = cand[0] if cand[0] != (0, 0) else cand[1]
-    if far == kappa_prime or far == (0, 0):
-        raise DegenerateAdjoint("inner hull has no second edge at the top vertex")
+    """Clause-2 segment: from the adjoint vertex kappa' = (0, k) on the +y
+    axis, one primitive step along its other adjoint edge.  In the standard
+    frame the adjoint's vertices run (0, 0), (a, 0), ..., (0, k), so kappa'
+    is the last vertex and the far end of that edge the one before it."""
+    kappa_prime, far = adj.vertices[-1], adj.vertices[-2]
     step = primitive((far[0] - kappa_prime[0], far[1] - kappa_prime[1]))
-    w = (kappa_prime[0] + step[0], kappa_prime[1] + step[1])
-    return Segment(kappa_prime, w)
-
-
-def _line_blocked(d: Point, seg: Segment) -> bool:
-    """Does the line through the origin with direction d meet the open
-    segment, including the degenerate case of containing it?"""
-    if line_meets_open_segment((0, 0), d, seg):
-        return True
-    a, b = seg.endpoints()
-    return (d[0] * a[1] - d[1] * a[0] == 0) and (d[0] * b[1] - d[1] * b[0] == 0)
+    return Segment(kappa_prime, (kappa_prime[0] + step[0],
+                                 kappa_prime[1] + step[1]))
 
 
 def _clause4_segments(P: Polygon, excluded: list) -> list:
-    """All eligible primitive segments on lines through the origin whose
-    line avoids the interiors of the excluded segments."""
+    """The segments between consecutive lattice points of P on the lines
+    through the origin whose line avoids the open excluded segments."""
     points = P.lattice_points()
     lines = {}
     for p in points:
@@ -286,15 +231,12 @@ def _clause4_segments(P: Polygon, excluded: list) -> list:
         lines.setdefault(d, []).append(p)
     segments = []
     for d in sorted(lines):
-        if any(_line_blocked(d, seg) for seg in excluded):
+        if any(line_meets_open_segment((0, 0), d, seg) for seg in excluded):
             continue
         # collect every lattice point on the line, ordered along it
         on_line = [(0, 0)] + lines[d]
         on_line.sort(key=lambda p: p[0] * d[0] + p[1] * d[1])
-        for p, q in zip(on_line, on_line[1:]):
-            seg = Segment(p, q)
-            if valid_b_segment(P, seg):
-                segments.append(seg)
+        segments.extend(Segment(p, q) for p, q in zip(on_line, on_line[1:]))
     return segments
 
 
@@ -305,25 +247,46 @@ def build_network(P: Polygon, kappa: Optional[Point] = None) -> Network:
     omitted, the corner selected by ``canonical_form`` is used.  The returned
     network carries the normalized polygon and the map that produced it.
 
-    No two segment curves cross, so no pair is checked.  In the normalized
-    frame the anchor is the origin and the adjoint lies in the closed first
-    quadrant:
+    A segment curve lies over a valid segment: its ends are lattice points
+    of the polygon that do not lie on one edge of it.  The standard frame
+    guarantees every fact but one, so only that one is checked.  The anchor
+    is the origin and the adjoint's edges there run along +x and +y, so the
+    adjoint lies in the closed first quadrant and its vertices run (0, 0),
+    (a, 0), ..., (0, k), with r dividing a.  Adjoint points are interior to
+    the polygon, so none of them lies on an edge:
 
-    1. Clause-4 segments join consecutive lattice points on lines through
-       the origin, so two of them meet at most at a shared endpoint; their
-       lines avoid the open sigma and tau (``_line_blocked``), so none of
-       them crosses sigma or tau.
-    2. sigma runs from (0, k), k >= 1, along an adjoint edge, so it lies in
+    1. sigma joins two adjoint points, so it is valid.
+    2. tau = (0, -1)-(r, 0) ends at the adjoint point (r, 0), so it is valid
+       exactly when (0, -1) lies in the polygon.  This is the one refusal.
+    3. A clause-4 segment joins lattice points of the polygon that are
+       consecutive on a line through the interior origin.  That line is no
+       edge line, so the two points share no edge.
+
+    No two segment curves cross, so no pair is checked either:
+
+    4. Clause-4 segments join consecutive lattice points on lines through
+       the origin, so two of them meet at most at a shared endpoint.  No
+       such line contains sigma (it leaves the y-axis) or tau (its line
+       misses the origin), and each one avoids the open sigma and tau, so
+       no clause-4 segment crosses sigma or tau.
+    5. sigma runs from (0, k), k >= 1, along an adjoint edge, so it lies in
        x >= 0, y >= 0.
-    3. tau = (0, -1)-(r, 0) lies in y <= 0 and reaches y = 0 only at its
-       endpoint.
-    4. b = (-1, 1)-(0, 1), the segment kept out of the network, lies on
+    6. tau lies in y <= 0 and reaches y = 0 only at its endpoint.
+    7. b = (-1, 1)-(0, 1), the segment kept out of the network, lies on
        y = 1 with x <= 0.  A line through the origin that meets the open b
        at (t, 1), -1 < t < 0, meets the open tau at u = -t/(r - t) along
        it, so no clause-4 segment crosses b either.
 
     So sigma, tau and b meet pairwise at most at an endpoint, which
-    ``_segment_intersection`` never counts as a crossing.
+    ``_segment_intersection`` never counts as a crossing.  The same frame
+    puts the distinguished configuration in every built network: the
+    circles at (0, 0), ..., (r, 0) and (0, 1) are at adjoint points, the
+    axes are clause-4 lines (sigma and tau only end on them) holding
+    (0, -1)-(0, 0)-(0, 1) and the steps from (0, 0) to (r, 0), and tau
+    closes the chain.  No curve lies over b: its line misses the origin,
+    and (-1, 1) is no end of sigma or tau.  (-1, 1) is no adjoint point
+    either, so the completed network of ``relative_filling`` is the network
+    plus b.
     """
     adj = adjoint(P)
     if adj.kind != "polygon":
@@ -348,13 +311,11 @@ def build_network(P: Polygon, kappa: Optional[Point] = None) -> Network:
 
     # clause 2: the hull-top segment
     sigma = _sigma_segment(adjQ)
-    if not valid_b_segment(Q, sigma):
-        raise NetworkError(f"clause-2 segment {sigma} is not a valid segment")
     clauses.setdefault(BCurve(sigma), 2)
 
     # clause 3: the closing segment from (r, 0) to (0, -1)
     tau = Segment((r, 0), (0, -1))
-    if not valid_b_segment(Q, tau):
+    if not Q.contains((0, -1)):
         raise NetworkError(f"clause-3 segment {tau} is not a valid segment")
     clauses.setdefault(BCurve(tau), 3)
 
@@ -507,18 +468,23 @@ def network_from_json(data: dict) -> Network:
     clauses = {}
     for entry in data["curves"]:
         if entry["type"] == "A":
-            curve = ACurve(tuple(entry["data"]))
+            curve = ACurve(_json_point(entry["data"]))
         elif entry["type"] == "B":
             a, b = entry["data"]
-            curve = BCurve(Segment(tuple(a), tuple(b)))
+            curve = BCurve(Segment(_json_point(a), _json_point(b)))
         else:
             raise NetworkError(f"unknown curve type {entry['type']!r}")
-        clauses[curve] = int(entry.get("clause", 0))
+        clause = entry.get("clause", 0)
+        if type(clause) is not int:
+            raise NetworkError(f"a clause is an integer, got {clause!r}")
+        clauses[curve] = clause
     emb = IDENTITY_MAP
     if "embedding" in data:
-        emb = UnimodularMap(tuple(tuple(row) for row in data["embedding"]["lin"]),
-                            tuple(data["embedding"]["shift"]))
-    net = Network(P, tuple(data["kappa"]), clauses, emb,
-                  int(data["r"]), adjP)
+        emb = UnimodularMap(tuple(map(_json_point, data["embedding"]["lin"])),
+                            _json_point(data["embedding"]["shift"]))
+    r = data["r"]
+    if type(r) is not int:
+        raise NetworkError(f"the modulus r is an integer, got {r!r}")
+    net = Network(P, _json_point(data["kappa"]), clauses, emb, r, adjP)
     check_network_invariants(net)
     return net

@@ -94,10 +94,6 @@ class SpMatrix:
     def dimension(self) -> int:
         return len(self.rows)
 
-    @property
-    def genus(self) -> int:
-        return len(self.rows) // 2
-
     @classmethod
     def identity(cls, n: int) -> "SpMatrix":
         return cls(tuple(tuple(int(i == j) for j in range(n))

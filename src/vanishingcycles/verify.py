@@ -15,6 +15,9 @@ Hypotheses (reported individually, failures aggregated, never raised):
   along the first axis of the normalized polygon.
 * ``H3`` — the network has a curve meeting the omitted segment curve in
   exactly one point.
+
+  Both hold on every network that ``build_network`` returns (see its
+  docstring), so they are set, not decided.
 * ``H4`` — the reduced network (the first circle removed) has a tree
   intersection graph and still fills the complement of the omitted segment
   curve.
@@ -39,12 +42,9 @@ from .lattice import (
     genus,
 )
 from .network import (
-    BCurve,
-    ConfigurationUnavailable,
     NetworkError,
     build_network,
     dn_configuration,
-    geometric_intersection,
     graph_stats,
     intersection_graph,
     subnetwork_nprime,
@@ -247,6 +247,7 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         # Q is normalized, so its adjoint corner sits at the origin along
         # the axes
         net = build_network(Q, (0, 0))
+        dn = dn_configuration(net)
         S = inflate(net)
         canonical_spin(S)  # raises unless the structure exists
     except (NetworkError, SurfaceError, SpinError) as exc:
@@ -269,32 +270,20 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
     hypotheses["H1"] = all(gcd(*(v for _, v in classes[c])) == 1
                            for c in net.curve_list())
 
-    dn = None
-    try:
-        dn = dn_configuration(net)
-        hypotheses["H2"] = True
-    except ConfigurationUnavailable as exc:
-        hypotheses["H2"] = False
-        warnings.append(f"no distinguished configuration: {exc}")
-
-    if dn is not None:
-        omitted = BCurve(dn.b_segment)
-        hypotheses["H3"] = (dn.d in net and omitted not in net
-                            and geometric_intersection(dn.d, omitted) == 1)
-        nprime = subnetwork_nprime(net)
-        np_connected, np_betti, np_tree = graph_stats(intersection_graph(nprime))
-        rel = relative_filling(nprime, dn.b_segment)
-        hypotheses["H4"] = np_tree and rel
-        evidence.update({
-            "reduced_connected": np_connected,
-            "reduced_betti": np_betti,
-            "reduced_tree": np_tree,
-            "relative_filling": rel,
-            "configuration_size": dn.n,
-        })
-    else:
-        hypotheses["H3"] = False
-        hypotheses["H4"] = False
+    # every built network holds the configuration, meets b once at d and
+    # leaves b out (``build_network``)
+    hypotheses["H2"] = hypotheses["H3"] = True
+    nprime = subnetwork_nprime(net)
+    np_connected, np_betti, np_tree = graph_stats(intersection_graph(nprime))
+    rel = relative_filling(nprime, dn.b_segment)
+    hypotheses["H4"] = np_tree and rel
+    evidence.update({
+        "reduced_connected": np_connected,
+        "reduced_betti": np_betti,
+        "reduced_tree": np_tree,
+        "relative_filling": rel,
+        "configuration_size": dn.n,
+    })
 
     classification = None
     if all(hypotheses[k] is True for k in HYPOTHESES):

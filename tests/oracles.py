@@ -2,9 +2,9 @@
 
 Each function here recomputes something the package decides another way, so
 that the tests can compare the two: integer matrix products, Bareiss
-determinants, integer solving and GF(2) ranks; the genus by Pick's theorem;
-the symplectic reduction as a scan over every vector, and the dense views of
-the sparse intersection form (the crossing-sign matrix, the base change and
+determinants, integer solving and GF(2) ranks; the genus by Pick's theorem
+and the validity of a segment curve; the symplectic reduction as a scan over
+every vector, and the dense views of the sparse intersection form (the crossing-sign matrix, the base change and
 B.G.B^T multiplied out in full); the spanning tree of an arboreal network's
 one-complex; isotopic pairs of segment curves; and a planar filling
 criterion that needs no ribbon surface; twist relations decided by integer
@@ -247,6 +247,35 @@ def pick_genus(P) -> int:
     b = sum(gcd(abs(q[0] - p[0]), abs(q[1] - p[1])) for p, q in P.edges())
     assert (two_a - b) % 2 == 0
     return (two_a - b + 2) // 2
+
+
+def _same_edge(P, p, q) -> bool:
+    """True if p and q lie on a common edge of P."""
+    for a, b in P.edges():
+        ab = (b[0] - a[0], b[1] - a[1])
+        ap = (p[0] - a[0], p[1] - a[1])
+        aq = (q[0] - a[0], q[1] - a[1])
+        if ab[0] * ap[1] - ab[1] * ap[0] != 0:
+            continue
+        if ab[0] * aq[1] - ab[1] * aq[0] != 0:
+            continue
+        # both on the edge line; confirm within the edge's span
+        def within(v):
+            t = v[0] * ab[0] + v[1] * ab[1]
+            return 0 <= t <= ab[0] * ab[0] + ab[1] * ab[1]
+        if within(ap) and within(aq):
+            return True
+    return False
+
+
+def valid_b_segment(P, seg) -> bool:
+    """The definition of a valid segment, which ``build_network`` meets by
+    construction: its endpoints are lattice points of P not lying on one
+    edge of P."""
+    p, q = seg.endpoints()
+    if not (P.contains(p) and P.contains(q)):
+        return False
+    return not _same_edge(P, p, q)
 
 
 # --- networks and surfaces ---------------------------------------------------

@@ -78,6 +78,15 @@ def test_collinear_vertices_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vertex", [[6.9, 0], ["6", 0], [True, 0]])
+def test_non_integer_vertex_exits_2(tmp_path, capsys, vertex):
+    # a float, a string or a boolean is refused, not read as an integer
+    path = _write(tmp_path, "float.json",
+                  {"vertices": [[0, 0], vertex, [0, 6]]})
+    assert main(["analyze", "--input", path]) == 2
+    assert "pair of integers" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2(capsys):
     assert main(["verify"]) == 2
     assert "--input" in capsys.readouterr().err

@@ -5,16 +5,18 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import NotArboreal, spanning_tree_correspondence
+from oracles import NotArboreal, spanning_tree_correspondence, valid_b_segment
 from ribbon_oracle import Arc, curve_arcs, curve_crossings
 
 from vanishingcycles.lattice import (
     IDENTITY_MAP,
     LatticeError,
+    NoUnimodularNormalization,
     Polygon,
     Segment,
     adjoint,
     convex_hull,
+    kappa_standard_embedding,
 )
 from vanishingcycles.network import (
     ACurve,
@@ -36,7 +38,6 @@ from vanishingcycles.network import (
     network_from_json,
     network_to_json,
     subnetwork_nprime,
-    valid_b_segment,
 )
 from vanishingcycles.surface import _completed_network
 
@@ -150,9 +151,9 @@ def test_triangle6_memberships():
     assert BCurve(Segment((0, 0), (0, -1))) in net
     assert BCurve(Segment((3, 0), (0, -1))) in net  # closing segment
     assert BCurve(Segment((0, 3), (1, 2))) in net  # hull-top segment
-    assert net.clause(BCurve(Segment((3, 0), (0, -1)))) == 3
-    assert net.clause(BCurve(Segment((0, 3), (1, 2)))) == 2
-    assert net.clause(ACurve((1, 1))) == 1
+    assert net.clauses[BCurve(Segment((3, 0), (0, -1)))] == 3
+    assert net.clauses[BCurve(Segment((0, 3), (1, 2)))] == 2
+    assert net.clauses[ACurve((1, 1))] == 1
     # the (1, 3) ray crosses the open hull-top segment, so no such curve
     assert BCurve(Segment((0, 0), (1, 3))) not in net
 
@@ -161,7 +162,7 @@ def test_triangle6_line_directions():
     net = build_network(TRIANGLE6)
     per_dir = {}
     for b in net.b_curves():
-        if net.clause(b) != 4:
+        if net.clauses[b] != 4:
             continue
         (ax, ay), (bx, by) = b.segment.endpoints()
         dx, dy = bx - ax, by - ay
@@ -230,7 +231,7 @@ def test_square_counts_and_directions():
     assert len(net.b_curves()) == 19
     dirs = set()
     for b in net.b_curves():
-        if net.clause(b) != 4:
+        if net.clauses[b] != 4:
             continue
         (ax, ay), (bx, by) = b.segment.endpoints()
         dx, dy = bx - ax, by - ay
@@ -281,8 +282,9 @@ def test_geometric_intersection_table():
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                 min_size=3, max_size=8))
 def test_built_networks_are_crossing_free(points):
-    # build_network checks no segment pair, on the argument in its
-    # docstring; this is the test that guards that argument
+    # build_network checks only that (0, -1) lies in the polygon, and no
+    # segment pair, on the argument in its docstring; this is the test that
+    # guards that argument
     try:
         P = convex_hull(points)
     except LatticeError:
@@ -292,17 +294,32 @@ def test_built_networks_are_crossing_free(points):
         return
     for kappa in inner.polygon.vertices:
         try:
-            net = build_network(P, kappa)
-        except NetworkError:
+            Q = kappa_standard_embedding(P, kappa).apply_polygon(P)
+        except NoUnimodularNormalization:
             continue
+        if not Q.contains((0, -1)):
+            with pytest.raises(NetworkError, match=r"^clause-3 segment .* "
+                               r"is not a valid segment$"):
+                build_network(P, kappa)
+            continue
+        net = build_network(P, kappa)
+        assert net.polygon == Q
+        # the adjoint's vertices run (0, 0), (a, 0), ..., (0, k), r | a
+        adj = net.adjoint_polygon.vertices
+        assert adj[0] == (0, 0)
+        assert adj[1][0] > 0 and adj[1][1] == 0 and adj[1][0] % net.r == 0
+        assert adj[-1][0] == 0 and adj[-1][1] > 0
+        sigma = next(c for c, k in net.clauses.items() if k == 2)
+        assert adj[-1] in sigma.segment.endpoints()
+        assert all(valid_b_segment(Q, b.segment) for b in net.b_curves())
         check_network_invariants(net)
-        try:
-            dn = dn_configuration(net)
-        except ConfigurationUnavailable:
-            continue
-        completed = _completed_network(subnetwork_nprime(net),
-                                       BCurve(dn.b_segment))
+        dn = dn_configuration(net)
+        b = BCurve(dn.b_segment)
+        assert b not in net
+        assert geometric_intersection(dn.d, b) == 1
+        completed = _completed_network(subnetwork_nprime(net), b)
         assert completed is not None
+        assert set(completed.clauses) == set(net.clauses) | {b}
         check_network_invariants(completed)
 
 
@@ -459,7 +476,7 @@ def test_network_json_roundtrip():
     assert back.curve_list() == net.curve_list()
     assert back.r == net.r
     assert back.polygon == net.polygon
-    assert all(back.clause(c) == net.clause(c) for c in net.curve_list())
+    assert all(back.clauses[c] == net.clauses[c] for c in net.curve_list())
 
 
 def test_network_json_rejects_unknown_type():
@@ -467,6 +484,23 @@ def test_network_json_rejects_unknown_type():
     data = network_to_json(net)
     data["curves"][0]["type"] = "C"
     with pytest.raises(NetworkError):
+        network_from_json(data)
+
+
+@pytest.mark.parametrize("field", ["circle", "kappa", "r", "clause"])
+def test_network_json_rejects_non_integer_fields(field):
+    data = network_to_json(build_network(TRIANGLE4))
+    circle = next(e for e in data["curves"] if e["type"] == "A")
+    if field == "circle":
+        circle["data"] = [1.5, 1]
+    elif field == "kappa":
+        data["kappa"] = [0, False]
+    elif field == "r":
+        data["r"] = 1.0
+    else:
+        circle["clause"] = "1"
+    with pytest.raises(LatticeError if field in ("circle", "kappa")
+                       else NetworkError):
         network_from_json(data)
 
 

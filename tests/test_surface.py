@@ -28,7 +28,6 @@ from vanishingcycles.lattice import IDENTITY_MAP, Polygon, Segment
 from vanishingcycles.network import (
     ACurve,
     BCurve,
-    ConfigurationUnavailable,
     Network,
     build_network,
     dn_configuration,
@@ -431,15 +430,10 @@ def surfaces_of(P, rng):
     """The standard network's surface, the completed network's surface
     that ``relative_filling`` decides on, and a random subnetwork's."""
     net = build_network(P)
-    nets = [net]
-    try:
-        dn = dn_configuration(net)
-    except ConfigurationUnavailable:
-        pass
-    else:
-        completed = _completed_network(subnetwork_nprime(net), BCurve(dn.b_segment))
-        assert completed is not None
-        nets.append(completed)
+    dn = dn_configuration(net)
+    completed = _completed_network(subnetwork_nprime(net), BCurve(dn.b_segment))
+    assert completed is not None
+    nets = [net, completed]
     for c in net.curve_list():
         if rng.random() < 0.3:
             net = net.without(c)
