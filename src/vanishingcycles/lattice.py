@@ -50,6 +50,16 @@ def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _point(v) -> Point:
+    """A lattice point (or a matrix row), from Python or from JSON: a pair
+    of integers.  A float, a string or a boolean is refused, not rounded or
+    converted."""
+    if (not isinstance(v, (list, tuple)) or len(v) != 2
+            or any(type(x) is not int for x in v)):
+        raise LatticeError(f"expected a pair of integers, got {v!r}")
+    return (v[0], v[1])
+
+
 def primitive(v: Point) -> Point:
     """Primitive vector in the direction of v."""
     assert v != (0, 0)
@@ -104,7 +114,7 @@ class Polygon:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vs = tuple((int(x), int(y)) for x, y in self.vertices)
+        vs = tuple(map(_point, self.vertices))
         if len(vs) < 3:
             raise TooFewPoints("need at least 3 vertices")
         if len(set(vs)) != len(vs):
@@ -154,7 +164,7 @@ class Polygon:
 def convex_hull(points) -> Polygon:
     """Convex hull of a finite set of lattice points (monotone chain).
     Collinear points are dropped from the hull boundary."""
-    pts = sorted(set((int(x), int(y)) for x, y in points))
+    pts = sorted(set(map(_point, points)))
     if len(pts) < 3:
         raise TooFewPoints("need at least 3 distinct points")
     lower: list[Point] = []
@@ -312,20 +322,10 @@ def polygon_to_json(P: Polygon) -> dict:
     return {"vertices": [[x, y] for x, y in P.vertices]}
 
 
-def _json_point(v) -> Point:
-    """A lattice point (or a matrix row) read from JSON: a pair of
-    integers.  A float, a string or a boolean is refused, not rounded or
-    converted."""
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(type(x) is not int for x in v)):
-        raise LatticeError(f"expected a pair of integers, got {v!r}")
-    return (v[0], v[1])
-
-
 def polygon_from_json(data) -> Polygon:
     if not isinstance(data, dict) or "vertices" not in data:
         raise LatticeError("polygon JSON needs a 'vertices' key")
-    return Polygon(tuple(map(_json_point, data["vertices"])))
+    return Polygon(tuple(map(_point, data["vertices"])))
 
 
 def is_smooth(P: Polygon) -> bool:

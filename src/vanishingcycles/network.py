@@ -28,7 +28,7 @@ from .lattice import (
     Polygon,
     Segment,
     UnimodularMap,
-    _json_point,
+    _point,
     adjoint,
     canonical_form,
     divisibility,
@@ -285,8 +285,8 @@ def build_network(P: Polygon, kappa: Optional[Point] = None) -> Network:
     (0, -1)-(0, 0)-(0, 1) and the steps from (0, 0) to (r, 0), and tau
     closes the chain.  No curve lies over b: its line misses the origin,
     and (-1, 1) is no end of sigma or tau.  (-1, 1) is no adjoint point
-    either, so the completed network of ``relative_filling`` is the network
-    plus b.
+    either, so b meets the network once, at the circle at (0, 1), and no
+    other curve.
     """
     adj = adjoint(P)
     if adj.kind != "polygon":
@@ -468,10 +468,10 @@ def network_from_json(data: dict) -> Network:
     clauses = {}
     for entry in data["curves"]:
         if entry["type"] == "A":
-            curve = ACurve(_json_point(entry["data"]))
+            curve = ACurve(_point(entry["data"]))
         elif entry["type"] == "B":
             a, b = entry["data"]
-            curve = BCurve(Segment(_json_point(a), _json_point(b)))
+            curve = BCurve(Segment(_point(a), _point(b)))
         else:
             raise NetworkError(f"unknown curve type {entry['type']!r}")
         clause = entry.get("clause", 0)
@@ -480,11 +480,11 @@ def network_from_json(data: dict) -> Network:
         clauses[curve] = clause
     emb = IDENTITY_MAP
     if "embedding" in data:
-        emb = UnimodularMap(tuple(map(_json_point, data["embedding"]["lin"])),
-                            _json_point(data["embedding"]["shift"]))
+        emb = UnimodularMap(tuple(map(_point, data["embedding"]["lin"])),
+                            _point(data["embedding"]["shift"]))
     r = data["r"]
     if type(r) is not int:
         raise NetworkError(f"the modulus r is an integer, got {r!r}")
-    net = Network(P, _json_point(data["kappa"]), clauses, emb, r, adjP)
+    net = Network(P, _point(data["kappa"]), clauses, emb, r, adjP)
     check_network_invariants(net)
     return net

