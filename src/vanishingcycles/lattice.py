@@ -134,10 +134,12 @@ class Polygon:
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     def contains(self, p: Point, strict: bool = False) -> bool:
-        for a, b in self.edges():
+        a = self.vertices[-1]
+        for b in self.vertices:
             c = _cross(a, b, p)
             if c < 0 or (strict and c == 0):
                 return False
+            a = b
         return True
 
     def bounding_box(self) -> tuple[int, int, int, int]:
@@ -146,16 +148,36 @@ class Polygon:
         return (min(xs), min(ys), max(xs), max(ys))
 
     def _scan(self, strict: bool) -> list[Point]:
-        x0, y0, x1, y1 = self.bounding_box()
-        return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
-                if self.contains((x, y), strict=strict)]
+        """The lattice points of the polygon (``strict``: of its interior),
+        column by column in lexicographic order.  The polygon lies left of
+        each counterclockwise edge (a, b): with (dx, dy) = b - a, the point
+        (x, y) is in it when dx (y - ay) - dy (x - ax) >= s for every edge,
+        where s is 1 for the interior (between integers, > 0 is >= 1) and 0
+        otherwise.  An edge with dx > 0 bounds y from below, one with dx < 0
+        from above, and a vertical edge keeps or drops the whole column."""
+        s = 1 if strict else 0
+        below, above, walls = [], [], []
+        for (ax, ay), (bx, by) in self.edges():
+            dx, dy = bx - ax, by - ay
+            (below if dx > 0 else above if dx < 0 else walls).append((ax, ay, dx, dy))
+        x0, _, x1, _ = self.bounding_box()
+        points = []
+        for x in range(x0, x1 + 1):
+            if walls and any(-dy * (x - ax) < s for ax, _, _, dy in walls):
+                continue
+            # y - ay >= or <= (dy (x - ax) + s) / dx, by ceiling or floor division
+            lo = max(ay - (-dy * (x - ax) - s) // dx for ax, ay, dx, dy in below)
+            hi = min(ay + (dy * (x - ax) + s) // dx for ax, ay, dx, dy in above)
+            points.extend((x, y) for y in range(lo, hi + 1))
+        return points
 
     def lattice_points(self) -> list[Point]:
         return self._scan(strict=False)
 
     def interior_points(self) -> list[Point]:
-        """The interior lattice points, found once per polygon; every call
-        returns a fresh list, which the caller may change."""
+        """The interior lattice points, found once per polygon, or carried
+        from the polygon it is an image of (``UnimodularMap.apply_polygon``);
+        every call returns a fresh list, which the caller may change."""
         if self._interior is None:
             object.__setattr__(self, "_interior", tuple(self._scan(strict=True)))
         return list(self._interior)
@@ -262,11 +284,30 @@ class UnimodularMap:
         return (a * p[0] + b * p[1] + self.shift[0], c * p[0] + d * p[1] + self.shift[1])
 
     def apply_polygon(self, P: Polygon) -> Polygon:
-        """The image of P; P itself under the identity, so that the facts
-        it has found (interior points, adjoint) are not found again."""
+        """The image of P; P itself under the identity.  The image carries
+        the images of the facts P has found (interior points, adjoint), so
+        they are not found again; the facts P has not found stay lazy.  This
+        is exact: an affine unimodular map is a bijection of Z^2 that sends
+        interiors to interiors and hulls to hulls."""
         if self == IDENTITY_MAP:
             return P
-        return Polygon(tuple(self.apply(v) for v in P.vertices))
+        Q = Polygon(tuple(self.apply(v) for v in P.vertices))
+        if P._interior is not None:
+            # sorting gives back the scan order
+            object.__setattr__(Q, "_interior", tuple(sorted(map(self.apply, P._interior))))
+        if P._adjoint is not None:
+            object.__setattr__(Q, "_adjoint", self._apply_adjoint(P._adjoint))
+        return Q
+
+    def _apply_adjoint(self, adj: Adjoint) -> Adjoint:
+        if adj.kind == "polygon":
+            # the constructor fixes the vertex order under determinant -1
+            return Adjoint("polygon", polygon=self.apply_polygon(adj.polygon))
+        if adj.kind == "point":
+            return Adjoint("point", point=self.apply(adj.point))
+        if adj.kind == "segment":
+            return Adjoint("segment", segment_ends=tuple(sorted(map(self.apply, adj.segment_ends))))
+        return adj
 
 
 IDENTITY_MAP = UnimodularMap(((1, 0), (0, 1)))
@@ -304,18 +345,26 @@ def canonical_form(P: Polygon):
     determinant +1: the kappa-standardization, over all adjoint corners,
     with the least vertex tuple.  Reports built from it are byte-identical
     across the images of determinant +1 of one polygon; a mirror image may
-    get another form."""
+    get another form.
+
+    The corners are ranked by the vertex tuple of their image, and only the
+    winning image is built as a ``Polygon``, carrying the facts of P."""
     adj = adjoint(P)
     if adj.kind != "polygon":
         raise DegenerateDimension("canonical form needs a 2-dimensional adjoint")
     best = None
     for kappa in adj.polygon.vertices:
         m = kappa_standard_embedding(P, kappa)
-        Q = m.apply_polygon(P)
-        key = Q.vertices
+        # the linear part has det(e1, e2) = +1, so the image keeps the
+        # counterclockwise order; rotating it to its least vertex gives the
+        # vertex tuple the image Polygon would store
+        image = [m.apply(v) for v in P.vertices]
+        k = image.index(min(image))
+        key = tuple(image[k:] + image[:k])
         if best is None or key < best[0]:
-            best = (key, Q, m)
-    return best[1], best[2]
+            best = (key, m)
+    m = best[1]
+    return m.apply_polygon(P), m
 
 
 def polygon_to_json(P: Polygon) -> dict:

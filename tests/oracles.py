@@ -2,9 +2,9 @@
 
 Each function here recomputes something the package decides another way, so
 that the tests can compare the two: integer matrix products, Bareiss
-determinants, integer solving and GF(2) ranks; the genus by Pick's theorem
-and the validity of a segment curve; the symplectic reduction as a scan over
-every vector, and the dense views of the sparse intersection form (the crossing-sign matrix, the base change and
+determinants, integer solving and GF(2) ranks; the lattice points by a
+scan of the bounding box, the genus by Pick's theorem and the validity of a
+segment curve; the symplectic reduction as a scan over every vector, and the dense views of the sparse intersection form (the crossing-sign matrix, the base change and
 B.G.B^T multiplied out in full); the spanning tree of an arboreal network's
 one-complex; isotopic pairs of segment curves; and a planar filling
 criterion that needs no ribbon surface; twist relations decided by integer
@@ -247,6 +247,14 @@ def pick_genus(P) -> int:
     b = sum(gcd(abs(q[0] - p[0]), abs(q[1] - p[1])) for p, q in P.edges())
     assert (two_a - b) % 2 == 0
     return (two_a - b + 2) // 2
+
+
+def box_scan_points(P, strict: bool) -> list:
+    """The lattice points of P (``strict``: its interior points) in
+    lexicographic order, by testing every point of the bounding box."""
+    x0, y0, x1, y1 = P.bounding_box()
+    return [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
+            if P.contains((x, y), strict=strict)]
 
 
 def _same_edge(P, p, q) -> bool:

@@ -3,7 +3,10 @@ import random
 from math import gcd
 
 import pytest
-from oracles import pick_genus
+from corpus import mirror, random_hulls
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from oracles import box_scan_points, pick_genus
 
 from vanishingcycles.lattice import (
     Polygon,
@@ -92,6 +95,111 @@ def test_genus_against_pick_oracle():
             continue
         assert genus(h) == pick_genus(h)
         n_ok += 1
+
+
+coordinates = st.integers(-12, 12)
+
+
+@st.composite
+def sliver_points(draw):
+    # points within one unit above the line y = p x / q: thin hulls
+    p, q = draw(st.integers(-6, 6)), draw(st.integers(1, 6))
+    xs = draw(st.lists(coordinates, min_size=3, max_size=9))
+    return [(x, (p * x) // q + i % 2) for i, x in enumerate(xs)]
+
+
+hull_points = st.one_of(
+    st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=9),
+    sliver_points())
+
+
+def hull_or_reject(points):
+    try:
+        return convex_hull(points)
+    except LatticeError:
+        assume(False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(hull_points)
+@example([(-12, -12), (12, 11), (11, 10)])  # a sliver
+@example([(-12, 12), (12, -12), (12, -11)])  # a sliver with a vertical edge
+@example([(-5, -7), (-5, 3), (4, -2), (4, 9)])  # two vertical edges
+@example([(0, 0), (1, 0), (0, 1)])  # no lattice point inside
+def test_row_scan_matches_the_box_scan(points):
+    P = hull_or_reject(points)
+    for strict in (False, True):
+        assert P._scan(strict) == box_scan_points(P, strict)
+    # Pick's theorem splits the lattice points into interior and boundary
+    boundary = sum(gcd(abs(b[0] - a[0]), abs(b[1] - a[1])) for a, b in P.edges())
+    assert len(P.lattice_points()) == pick_genus(P) + boundary
+
+
+@st.composite
+def unimodular_maps(draw, det):
+    """An affine map with linear part of determinant ``det``: a product of
+    shears, after a mirror when ``det`` is -1, and a sign."""
+    lin = ((0, 1), (1, 0)) if det == -1 else ((1, 0), (0, 1))
+    for k in range(draw(st.integers(0, 4))):
+        s = draw(st.integers(-3, 3))
+        (a, b), (c, d) = lin
+        lin = ((a + s * c, b + s * d), (c, d)) if k % 2 else ((a, b), (c + s * a, d + s * b))
+    sign = draw(st.sampled_from((1, -1)))
+    lin = tuple(tuple(sign * x for x in row) for row in lin)
+    m = UnimodularMap(lin, draw(st.tuples(coordinates, coordinates)))
+    (a, b), (c, d) = m.lin
+    assert a * d - b * c == det
+    return m
+
+
+@pytest.mark.parametrize("det", [1, -1])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hull_points, st.data())
+def test_images_carry_exactly_the_facts_their_polygon_found(det, points, data):
+    P = hull_or_reject(points)
+    m = data.draw(unimodular_maps(det))
+    fresh = Polygon(tuple(m.apply(v) for v in P.vertices))
+    lazy = m.apply_polygon(P)  # P has found nothing yet, so nothing is carried
+    assert lazy._interior is None and lazy._adjoint is None
+    adjoint(P)
+    carried = m.apply_polygon(P)
+    assert carried._interior is not None and carried._adjoint is not None
+    for Q in (lazy, carried):
+        assert Q.vertices == fresh.vertices
+        assert Q.interior_points() == fresh.interior_points()
+        assert adjoint(Q) == adjoint(fresh)
+
+
+def least_built_image(P):
+    """canonical_form by building the image at every adjoint corner and
+    keeping the one with the least vertex tuple."""
+    best = None
+    for kappa in adjoint(P).polygon.vertices:
+        m = kappa_standard_embedding(P, kappa)
+        Q = Polygon(tuple(m.apply(v) for v in P.vertices))
+        if best is None or Q.vertices < best[0].vertices:
+            best = (Q, m)
+    return best
+
+
+def test_canonical_form_is_the_least_built_image():
+    compared = 0
+    for P in random_hulls():
+        for R in (P, mirror(P)):
+            if adjoint(R).kind != "polygon":
+                continue
+            try:
+                expected, m = least_built_image(R)
+            except NoUnimodularNormalization:
+                with pytest.raises(NoUnimodularNormalization):
+                    canonical_form(R)
+                continue
+            Q, used = canonical_form(R)
+            assert Q.vertices == expected.vertices and used == m
+            assert Q.interior_points() == expected.interior_points()
+            assert adjoint(Q) == adjoint(expected)
+            compared += 1
+    assert compared > 900
 
 
 def test_genus_unimodular_invariance():

@@ -283,6 +283,11 @@ def rebind(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
+def double_area(P) -> int:
+    vs = P.vertices
+    return sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(vs, vs[1:] + vs[:1]))
+
+
 def test_side8_verdict_computes_each_fact_once(monkeypatch):
     # counts, not times: a recomputation reintroduced anywhere on the
     # verdict path changes one of them
@@ -326,6 +331,26 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
 
     rebind(monkeypatch, adjoint, counted_adjoint)
     monkeypatch.setattr(lattice, "convex_hull", counted_hull)
+    # the images of its input that canonical_form builds: a polygon built
+    # during the call with the input's area (the inner hull's is smaller)
+    normalizing = []  # the inputs of the canonical_form calls in progress
+    images = []
+    canonical, post_init = lattice.canonical_form, Polygon.__post_init__
+
+    def counted_canonical(P):
+        normalizing.append(double_area(P))
+        try:
+            return canonical(P)
+        finally:
+            normalizing.pop()
+
+    def counted_post_init(self):
+        post_init(self)
+        if normalizing and double_area(self) == normalizing[-1]:
+            images.append(self)
+
+    rebind(monkeypatch, canonical, counted_canonical)
+    monkeypatch.setattr(Polygon, "__post_init__", counted_post_init)
     report = check_networkgenset(Polygon(((0, 0), (8, 0), (0, 8))))
     assert report.classification == ODD_VERDICT
     assert len(smith) == 0
@@ -340,10 +365,14 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     # built networks are crossing-free, so no segment pair is checked
     assert len(segment_passes) == 0
     assert len(segment_pairs) == 0
-    # the input and its canonical form, which the network keeps: the
+    # canonical_form ranks the corners by their image's vertices and builds
+    # only the winner
+    assert len(images) == 1
+    # only the input: its canonical form, which the network keeps, carries
+    # the interior and the inner hull as images of the input's, and the
     # normalization at the origin is the identity
-    assert len(interior_scans) == 2 and max(interior_scans.values()) == 1
-    assert len(inner_hulls) == 2 and max(inner_hulls.values()) == 1
+    assert len(interior_scans) == 1 and max(interior_scans.values()) == 1
+    assert len(inner_hulls) == 1 and max(inner_hulls.values()) == 1
 
 
 # --- plane-curve and product corpus ---------------------------------------------
