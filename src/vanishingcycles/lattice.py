@@ -189,6 +189,11 @@ def convex_hull(points) -> Polygon:
     pts = sorted(set(map(_point, points)))
     if len(pts) < 3:
         raise TooFewPoints("need at least 3 distinct points")
+    return _monotone_chain(pts)
+
+
+def _monotone_chain(pts: list[Point]) -> Polygon:
+    """The hull of two or more sorted, distinct integer points."""
     lower: list[Point] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -234,9 +239,9 @@ def _inner_hull(P: Polygon) -> Adjoint:
     if len(pts) == 1:
         return Adjoint("point", point=pts[0])
     try:
-        return Adjoint("polygon", polygon=convex_hull(pts))
-    except (CollinearInput, TooFewPoints):
-        pts.sort()
+        # the scan's points are sorted, distinct integer pairs already
+        return Adjoint("polygon", polygon=_monotone_chain(pts))
+    except CollinearInput:
         return Adjoint("segment", segment_ends=(pts[0], pts[-1]))
 
 

@@ -14,7 +14,12 @@ identity is an exact integer matrix identity.
 
 Mod-2 questions - stabilizers of quadratic forms inside Sp(2g, Z/2), the
 subgroup generated by anisotropic transvections, and the orbit census of
-forms by Arf invariant - work on the vectors of F_2^(2g) as bitmasks.  A
+forms by Arf invariant - work on the vectors of F_2^(2g) as bitmasks, and a
+form is the mask f of its basis values: q(v) is the parity of the bits of
+v & f plus the handles (bit pairs 2k, 2k+1) that v fills, and its Arf
+invariant the parity of the handles that f fills.  The twist about an
+isotropic v moves the form to f ^ sv, where sv swaps the bits of each
+handle of v (bit i of sv is <e_i, v>); an anisotropic v fixes it.  A
 stabilizer's order is one orbit-stabilizer count at every genus.  A
 generated subgroup is never listed: the transvections permute the 2^(2g)
 vectors, and Schreier-Sims gives the order of the permutation group from a
@@ -481,25 +486,26 @@ def _swap_adjacent_bits(v: int) -> int:
     return ((v & _ALT) << 1) | ((v >> 1) & _ALT)
 
 
-def _pair2(u: int, v: int) -> int:
-    return bin(u & _swap_adjacent_bits(v)).count("1") & 1
+def _form_value(f: int, v: int) -> int:
+    """q(v) for the form whose basis values are the bits of f:
+    sum v_i q(e_i) + sum v_2k v_2k+1, mod 2."""
+    return ((v & f).bit_count() + (v & (v >> 1) & _ALT).bit_count()) & 1
 
 
-def _value_table(values: Sequence[int]) -> List[int]:
-    n = len(values)
-    tab = [0] * (1 << n)
-    for v in range(1, 1 << n):
-        low = v & (-v)
-        i = low.bit_length() - 1
-        rest = v ^ low
-        # q(rest + e_i) = q(rest) + q(e_i) + <rest, e_i>
-        tab[v] = tab[rest] ^ (values[i] & 1) ^ _pair2(rest, low)
-    return tab
+def _form_mask(q: QuadraticFormZ2) -> int:
+    return sum(x << i for i, x in enumerate(q.values))
 
 
 def _transvection_perm(v: int, n: int) -> Tuple[int, ...]:
-    """The permutation x -> x + <x,v>v of the 2^n vectors of F_2^n."""
-    return tuple(x ^ v if _pair2(x, v) else x for x in range(1 << n))
+    """The permutation x -> x + <x,v>v of the 2^n vectors of F_2^n, built
+    by linearity one lowest bit at a time: the image of e_i is e_i, plus v
+    when <e_i, v>, bit i of the swapped v, is 1."""
+    sv = _swap_adjacent_bits(v)
+    tab = [0] * (1 << n)
+    for x in range(1, 1 << n):
+        low = x & -x
+        tab[x] = tab[x ^ low] ^ low ^ (v if sv & low else 0)
+    return tuple(tab)
 
 
 def _generated_order(gens: Sequence[Tuple[int, ...]], degree: int) -> int:
@@ -617,20 +623,22 @@ def sp_mod2_bfs_order(g: int) -> int:
         [_transvection_perm(v, n) for v in range(1, 1 << n)], 1 << n)
 
 
-def _form_orbit(start: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
-    """The orbit of a mod-2 form (its values on the basis) under the
-    transvections, found by breadth-first search."""
-    n = len(start)
+def _form_orbit(start: int, n: int) -> Set[int]:
+    """The orbit of a mod-2 form on F_2^n (the mask of its basis values)
+    under the transvections, found by breadth-first search.  The twist about
+    an isotropic v sends the form f to f ^ sv, sv the swapped v, whose bit i
+    is <e_i, v>; an anisotropic v fixes the form."""
+    swapped = [_swap_adjacent_bits(v) for v in range(1 << n)]
+    handles = [(v & (v >> 1) & _ALT).bit_count() for v in range(1 << n)]
     seen = {start}
     frontier = [start]
     while frontier:
         fresh = []
-        for form in frontier:
-            tab = _value_table(form)
+        for f in frontier:
             for v in range(1, 1 << n):
-                if tab[v]:
+                if ((v & f).bit_count() + handles[v]) & 1:
                     continue    # an anisotropic v: its twist fixes the form
-                out = tuple(form[i] ^ _pair2(1 << i, v) for i in range(n))
+                out = f ^ swapped[v]
                 if out not in seen:
                     seen.add(out)
                     fresh.append(out)
@@ -648,8 +656,8 @@ def _anisotropic_vectors(g: int, q: QuadraticFormZ2) -> List[int]:
     n = 2 * g
     if len(q.values) != n:
         raise SympError("form does not match the requested genus")
-    tab = _value_table(q.values)
-    return [v for v in range(1, 1 << n) if tab[v]]
+    f = _form_mask(q)
+    return [v for v in range(1, 1 << n) if _form_value(f, v)]
 
 
 def anisotropic_closure_order(g: int, q: QuadraticFormZ2) -> int:
@@ -679,7 +687,7 @@ def sp_q_stabilizer_bruteforce(g: int, q: QuadraticFormZ2
     :func:`anisotropic_closure_order` and is compared with it.
     """
     generated = anisotropic_closure_order(g, q)
-    orbit = len(_form_orbit(tuple(v & 1 for v in q.values)))
+    orbit = len(_form_orbit(_form_mask(q), 2 * g))
     order, rem = divmod(sp_mod2_order(g), orbit)
     if rem:
         raise SympError("orbit size does not divide the group order")
@@ -695,16 +703,15 @@ def quadratic_form_orbits(g: int) -> Dict[int, int]:
     if g < 1:
         raise SympError("genus must be positive")
     n = 2 * g
-    unassigned = {tuple((v >> i) & 1 for i in range(n))
-                  for v in range(1 << n)}
+    unassigned = set(range(1 << n))
     orbits = []
     while unassigned:
-        orbit = _form_orbit(min(unassigned))
+        orbit = _form_orbit(min(unassigned), n)
         orbits.append(orbit)
         unassigned -= orbit
     census: Dict[int, int] = {}
     for orbit in orbits:
-        arfs = {QuadraticFormZ2(f).arf() for f in orbit}
+        arfs = {(f & (f >> 1) & _ALT).bit_count() & 1 for f in orbit}
         if len(arfs) != 1:
             raise SympError("an orbit mixes Arf invariants")
         census[arfs.pop()] = len(orbit)

@@ -10,7 +10,9 @@ one-complex; isotopic pairs of segment curves; and a planar filling
 criterion that needs no ribbon surface; twist relations decided by integer
 matrix identities plus a replay on chosen test curves, and twist words
 compared by replaying them on the 2g basis curves; the coherence sum of
-boundary values against a subsurface's Euler number; mod-2 groups enumerated
+boundary values against a subsurface's Euler number; mod-2 forms as tuples
+of basis values with every value tabulated, their transvection orbits and the
+transvection permutations one pairing at a time; mod-2 groups enumerated
 element by element as bit-packed matrices, with form stabilizers found by
 filtering all of Sp(2g, Z/2); the embedded homology lattice, a section of
 the contraction and the cube of a matrix acting on the exterior cube; and
@@ -48,7 +50,6 @@ from vanishingcycles.symp import (
     _anisotropic_vectors,
     _same_marked,
     _swap_adjacent_bits,
-    _value_table,
     apply_word,
     sp_mod2_order,
     word_matrix,
@@ -620,6 +621,53 @@ def coherence_check(boundary, chi_sub: int) -> bool:
     return (sum(c.phi for c in curves) - chi_sub) % r == 0
 
 
+# --- mod-2 forms as value tuples -------------------------------------------------
+
+def pair2(u: int, v: int) -> int:
+    """<u, v> mod 2 for vectors of F_2^n as bitmasks."""
+    return bin(u & _swap_adjacent_bits(v)).count("1") & 1
+
+
+def value_table(values) -> list:
+    """Every value of the mod-2 form with the given basis values, indexed by
+    the bitmask of the vector, by q(x + e_i) = q(x) + q(e_i) + <x, e_i>."""
+    n = len(values)
+    tab = [0] * (1 << n)
+    for v in range(1, 1 << n):
+        low = v & (-v)
+        i = low.bit_length() - 1
+        rest = v ^ low
+        tab[v] = tab[rest] ^ (values[i] & 1) ^ pair2(rest, low)
+    return tab
+
+
+def transvection_perm_oracle(v: int, n: int) -> tuple:
+    """The permutation x -> x + <x,v>v of F_2^n, one pairing per vector."""
+    return tuple(x ^ v if pair2(x, v) else x for x in range(1 << n))
+
+
+def form_orbit_oracle(start: tuple) -> set:
+    """The orbit of a mod-2 form, the tuple of its basis values, under the
+    transvections: breadth-first search that tabulates every form's values
+    and moves basis value i by <e_i, v> for each isotropic v."""
+    n = len(start)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for form in frontier:
+            tab = value_table(form)
+            for v in range(1, 1 << n):
+                if tab[v]:
+                    continue    # an anisotropic v: its twist fixes the form
+                out = tuple(form[i] ^ pair2(1 << i, v) for i in range(n))
+                if out not in seen:
+                    seen.add(out)
+                    fresh.append(out)
+        frontier = fresh
+    return seen
+
+
 # --- mod-2 groups by enumeration -------------------------------------------------
 # A matrix over Z/2 is bit-packed into one int: row i at bits i*n..i*n+n-1.
 
@@ -702,7 +750,7 @@ def stabilizer_filter_oracle(g: int, q) -> tuple:
     everything = _closure_bits(
         [_transvection_bits(v, n) for v in range(1, 1 << n)], n)
     assert len(everything) == sp_mod2_order(g)
-    tab = _value_table(q.values)
+    tab = value_table(q.values)
     stabilizer = {mat for mat in everything
                   if all(tab[c] == tab[1 << i]
                          for i, c in enumerate(_columns_bits(mat, n)))}

@@ -27,6 +27,9 @@ ALLOWED = {
                          "with network_to_json",
     "report_json": "the canonical report bytes, identical across unimodular "
                    "images, that tests/data/reports.json pins",
+    "convex_hull": "the public constructor of a polygon from any point set, "
+                   "which validates its points; the test corpora build their "
+                   "hulls with it, and the inner hull skips its validation",
 }
 
 

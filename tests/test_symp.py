@@ -10,7 +10,10 @@ from oracles import (
     chain_oracle,
     coherence_check,
     dn_oracle,
+    form_orbit_oracle,
     stabilizer_filter_oracle,
+    transvection_perm_oracle,
+    value_table,
 )
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -34,6 +37,8 @@ from vanishingcycles.symp import (
     SpMatrix,
     SympError,
     TooLarge,
+    _anisotropic_vectors,
+    _form_orbit,
     _generated_order,
     _pairings,
     _same_action,
@@ -544,6 +549,38 @@ def test_form_orbit_census():
         assert census[0] == 2 ** (g - 1) * (2 ** g + 1)
         assert census[1] == 2 ** (g - 1) * (2 ** g - 1)
         assert census[0] + census[1] == 2 ** (2 * g)
+
+
+def _values(mask, n):
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+def test_form_orbit_matches_the_tuple_oracle():
+    # every form at g <= 3 and eight seeded forms at g = 4: the orbit of the
+    # mask, read back as value tuples, is the orbit the tuple search finds
+    rng = random.Random(29)
+    cases = [(g, f) for g in (1, 2, 3) for f in range(1 << (2 * g))]
+    cases += [(4, rng.randrange(1 << 8)) for _ in range(8)]
+    for g, f in cases:
+        n = 2 * g
+        got = {_values(h, n) for h in _form_orbit(f, n)}
+        assert got == form_orbit_oracle(_values(f, n)), (g, f)
+
+
+def test_anisotropic_vectors_match_the_value_table():
+    for g in (1, 2, 3):
+        for f in range(1 << (2 * g)):
+            q = QuadraticFormZ2(_values(f, 2 * g))
+            tab = value_table(q.values)
+            assert _anisotropic_vectors(g, q) == [
+                v for v in range(1, 1 << (2 * g)) if tab[v]], q.values
+
+
+def test_transvection_perm_matches_the_oracle():
+    for n in range(1, 9):
+        for v in range(1 << n):
+            assert _transvection_perm(v, n) == \
+                transvection_perm_oracle(v, n), (n, v)
 
 
 def test_stabilizers_genus_one_and_two():

@@ -312,7 +312,7 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
     monkeypatch.setattr(Polygon, "_scan", counted_scan)
     # the inner hulls that adjoint takes, by the polygon they belong to
     inner_hulls = Counter()
-    adjoint, hull = lattice.adjoint, lattice.convex_hull
+    adjoint, hull = lattice.adjoint, lattice._monotone_chain
     asked = []  # the polygons adjoint is working on, innermost last
     hulled = []  # keeps each polygon adjoint is asked about alive
 
@@ -330,7 +330,7 @@ def test_side8_verdict_computes_each_fact_once(monkeypatch):
         return hull(points)
 
     rebind(monkeypatch, adjoint, counted_adjoint)
-    monkeypatch.setattr(lattice, "convex_hull", counted_hull)
+    monkeypatch.setattr(lattice, "_monotone_chain", counted_hull)
     # the images of its input that canonical_form builds: a polygon built
     # during the call with the input's area (the inner hull's is smaller)
     normalizing = []  # the inputs of the canonical_form calls in progress

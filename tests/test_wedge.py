@@ -19,12 +19,14 @@ from vanishingcycles import intlinalg
 from vanishingcycles import wedge as wedge_module
 from vanishingcycles.intlinalg import elementary_divisors, smith_normal_form
 from vanishingcycles.spin import QuadraticFormZ2
-from vanishingcycles.symp import transvection
+from vanishingcycles.symp import SpMatrix, transvection
 from vanishingcycles.wedge import (
     BudgetExceeded,
     Wedge3,
     WedgeError,
     _LatticeBasis,
+    _induced_columns,
+    _triples,
     closure_transformations,
     contraction,
     generators_K,
@@ -309,13 +311,38 @@ def test_closure_matches_the_full_basis_rounds(monkeypatch, g, parity):
                        for r in dense.basis_rows()), max_rounds
 
 
+@pytest.mark.parametrize("g", [5, 6])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_cube_columns_match_the_wedge_of_the_image_columns(g, parity):
+    # every column of the cube of every replayed transformation, the
+    # one-entry columns of swaps and quarter turns included, is the wedge
+    # of the three image columns of its triple
+    n = 2 * g
+    triples = _triples(n)
+    for rows in closure_transformations(g, parity):
+        m = SpMatrix(rows)
+        for t, column in enumerate(_induced_columns(rows, n)):
+            targets = [i for i, _ in column]
+            assert len(set(targets)) == len(targets)
+            assert all(v for _, v in column)
+            dense = [0] * len(triples)
+            for i, v in column:
+                dense[i] = v
+            a, b, c = triples[t]
+            seed = wedge(unit(n, a), unit(n, b), unit(n, c))
+            assert tuple(dense) == wedge3_apply(seed, m).coords, (rows, t)
+
+
 def test_closure_maps_only_rows_that_grew_the_lattice(monkeypatch):
     # one image per transformation of the seed and of each row whose
-    # insertion changed the lattice, and no round after the lattice is full
+    # insertion changed the lattice, no round after the lattice is full, and
+    # no image put in twice
     results = []
+    keys = []
     insert = _LatticeBasis.insert
 
     def recorded(self, row):
+        keys.append(frozenset((c, v) for c, v in row.items() if v))
         results.append(insert(self, row))
         return results[-1]
 
@@ -323,6 +350,7 @@ def test_closure_maps_only_rows_that_grew_the_lattice(monkeypatch):
     assert lemma_next_closure(6, 1) is True
     images = len(results) - 1
     assert images <= len(closure_transformations(6, 1)) * sum(results)
+    assert len(set(keys)) == len(keys)
 
 
 def test_closure_budget_semantics():
@@ -338,7 +366,6 @@ def test_closure_budget_semantics():
 
 
 def test_closure_transformations_are_symplectic():
-    from vanishingcycles.symp import SpMatrix
     for parity in (0, 1):
         mats = closure_transformations(5, parity)
         for rows in mats:
